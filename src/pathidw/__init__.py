@@ -18,7 +18,7 @@ from .metrics import (KneeCandidate, Scalogram, edge_density, knee_candidate,
                       scalogram)
 from .pathdist import (DEFAULT_SNAP_RADIUS, DistanceField, distance_field,
                        distances_to_points, fields_for_cells, move_graph,
-                       snap_points, snap_to_water)
+                       nearest_sources, snap_points, snap_to_water)
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 from .scenes import SCENE_KINDS, SyntheticScene, make_scene
@@ -38,7 +38,7 @@ __all__ = [
     "SyntheticScene", "cross_validate", "distance_field",
     "distances_to_points", "edge_density", "fields_for_cells", "grid_split",
     "idw_estimate", "interpolate_idw", "interpolate_ipdw", "knee_candidate",
-    "make_scene", "move_graph", "range_vs_error", "rasterize_land",
-    "reclassify", "scalogram", "snap_points", "snap_to_water",
-    "snapped_sources", "wilcoxon_signed_rank",
+    "make_scene", "move_graph", "nearest_sources", "range_vs_error",
+    "rasterize_land", "reclassify", "scalogram", "snap_points",
+    "snap_to_water", "snapped_sources", "wilcoxon_signed_rank",
 ]

@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=float, default=2.0)
     p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+                   help="accepted for compatibility; the search runs in one thread")
     p.add_argument("--out", required=True, help="output ASCII grid")
     p.set_defaults(func=_cmd_interpolate)
 

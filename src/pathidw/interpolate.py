@@ -10,6 +10,13 @@ separate neighborhoods, while ``interpolate_idw`` uses straight-line
 distances that ignore barriers. Both share one ``InterpConfig``, so power
 and neighborhood settings cannot diverge between methods being compared.
 
+Both interpolators fill a neighbor table, a (rows, targets) array of
+distances and source indices with each column ordered by (distance, source
+order), and hand it to one estimator: IPDW from the bounded path search
+``pathdist.nearest_sources``, IDW by selecting from a dense straight-line
+distance matrix. ``idw_estimate`` is that estimator on a single column, so
+the clamp and the tie rule exist once.
+
 Measurement points are snapped to water-cell centers before estimation and
 points landing on the same cell are averaged, for both methods alike; a
 prediction cell that coincides with a snapped measurement returns that
@@ -24,7 +31,7 @@ import numpy as np
 
 from .costsurface import CostSurface
 from .errors import ConsistencyError
-from .pathdist import DEFAULT_SNAP_RADIUS, fields_for_cells, snap_points
+from .pathdist import DEFAULT_SNAP_RADIUS, nearest_sources, snap_points
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 
@@ -93,46 +100,23 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
 
     Returns None (a NoData outcome, not an error) when no neighbor survives
     the neighborhood filter. With ``exact_at_zero`` a zero-distance neighbor
-    short-circuits to the mean of all zero-distance values.
+    short-circuits to the mean of all zero-distance values. An infinite
+    distance marks a neighbor that cannot be reached; it is never used.
     """
     pairs = [(float(d), float(v)) for d, v in neighbors]
-    if any(d < 0 for d, _ in pairs):
+    if not all(d >= 0 for d, _ in pairs):
         raise ValueError("neighbor distances must be non-negative")
-
-    if config.mode == "nearest":
-        order = sorted(range(len(pairs)), key=lambda i: (pairs[i][0], i))
-        used = [pairs[i] for i in order[:config.n_nearest]]
-    elif config.mode == "within":
-        used = [p for p in pairs if p[0] <= config.max_distance]
-    else:
-        used = pairs
-    if not used:
+    if not pairs:
         return None
-
-    zero_vals = [v for d, v in used if d == 0.0]
-    if zero_vals:
-        if not config.exact_at_zero:
-            raise ValueError("zero neighbor distance with exact_at_zero disabled")
-        return Prediction(float(np.mean(zero_vals)), len(zero_vals), 0.0)
-
-    d = np.array([p[0] for p in used])
-    v = np.array([p[1] for p in used])
-    # Weights are scale-invariant in the distances, so normalizing by the
-    # nearest one keeps d**-p away from overflow at extreme magnitudes. A
-    # ratio that still overflows means a negligible neighbor: weight 0.
-    with np.errstate(over="ignore"):
-        w = (d / d.min()) ** -config.power
-    den = w.sum()
-    if not (np.isfinite(den) and den > 0):
-        raise ConsistencyError(f"degenerate weight sum {den}")
-    value = float((w * v).sum() / den)
-    lo, hi = float(v.min()), float(v.max())
-    tol = _CONVEXITY_RTOL * (hi - lo + 1.0)
-    if value < lo - tol or value > hi + tol:
-        raise ConsistencyError(
-            f"estimate {value} falls outside neighbor value range [{lo}, {hi}]")
-    value = min(max(value, lo), hi)
-    return Prediction(value, len(used), float(d.min()))
+    d = np.array([p[0] for p in pairs])[:, None]
+    v = np.array([p[1] for p in pairs])
+    dsel, order = _select(d, config)
+    est, has = _estimate(dsel, v[order], config)
+    if not has[0]:
+        return None
+    used = dsel[np.isfinite(dsel)]
+    n_used = int((used == 0.0).sum()) or len(used)
+    return Prediction(float(est[0]), n_used, float(used.min()))
 
 
 def snapped_sources(points: PointSet, *, cost: CostSurface | None = None,
@@ -172,52 +156,63 @@ def snapped_sources(points: PointSet, *, cost: CostSurface | None = None,
     return unique, means
 
 
-def _estimate_columns(dist: np.ndarray, values: np.ndarray,
-                      config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized estimator over target columns.
+def _select(dist: np.ndarray, config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor table from a dense (n_sources, n_targets) distance matrix.
 
-    ``dist`` is (n_sources, n_targets) with inf marking excluded pairs.
-    Returns (estimates, has_estimate); targets with no usable neighbor get
-    has_estimate False. Semantics mirror ``idw_estimate`` exactly, with
-    nearest-n ties broken by source order.
+    inf marks excluded pairs. Returns the selected distances and their
+    source indices, each column ordered by (distance, source index).
     """
-    k, nt = dist.shape
     if config.mode == "within":
         dist = np.where(dist <= config.max_distance, dist, np.inf)
-    if config.mode == "nearest" and k > config.n_nearest:
-        order = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
-        dsel = np.take_along_axis(dist, order, axis=0)
-        vsel = values[order]
-    else:
-        dsel = dist
-        vsel = np.broadcast_to(values[:, None], dist.shape)
+    order = np.argsort(dist, axis=0, kind="stable")
+    if config.mode == "nearest":
+        order = order[:config.n_nearest]
+    return np.take_along_axis(dist, order, axis=0), order
 
-    valid = np.isfinite(dsel)
-    zero = valid & (dsel == 0.0)
+
+def _estimate(dist: np.ndarray, vals: np.ndarray,
+              config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Shepard estimator over a neighbor table.
+
+    ``dist`` and ``vals`` are (rows, n_targets): each column holds one
+    target's selected neighbors, with inf distances marking empty slots.
+    Returns (estimates, has_estimate); targets with no neighbor get
+    has_estimate False.
+    """
+    valid = np.isfinite(dist)
+    zero = valid & (dist == 0.0)
     zero_cols = zero.any(axis=0)
     if zero_cols.any() and not config.exact_at_zero:
         raise ValueError("zero neighbor distance with exact_at_zero disabled")
 
-    dw = np.where(valid & (dsel > 0.0), dsel, np.inf)
+    # Weights are scale-invariant in the distances, so normalizing by the
+    # nearest one keeps d**-p away from overflow at extreme magnitudes. A
+    # ratio that still overflows means a negligible neighbor: weight 0.
+    dw = np.where(valid & (dist > 0.0), dist, np.inf)
     near = dw.min(axis=0)
     near = np.where(np.isfinite(near), near, 1.0)
     with np.errstate(over="ignore"):
         w = (dw / near) ** -config.power
     den = w.sum(axis=0)
-    num = (w * np.where(valid, vsel, 0.0)).sum(axis=0)
+    num = (w * np.where(valid, vals, 0.0)).sum(axis=0)
     has = zero_cols | (den > 0)
 
-    est = np.zeros(nt)
+    est = np.zeros(dist.shape[1])
     np.divide(num, den, out=est, where=den > 0)
     if zero_cols.any():
+        # the mean of coincident values, clamped to their own range: the sum
+        # can round the mean an ulp outside it
         zn = zero.sum(axis=0)
-        zs = np.where(zero, vsel, 0.0).sum(axis=0)
-        est = np.where(zero_cols, zs / np.maximum(zn, 1), est)
+        zs = np.where(zero, vals, 0.0).sum(axis=0)
+        zlo = np.where(zero, vals, np.inf).min(axis=0)
+        zhi = np.where(zero, vals, -np.inf).max(axis=0)
+        zmean = np.minimum(np.maximum(zs / np.maximum(zn, 1), zlo), zhi)
+        est = np.where(zero_cols, zmean, est)
 
     if not np.isfinite(est[has]).all():
         raise ConsistencyError("non-finite estimate produced")
-    lo = np.where(valid, vsel, np.inf).min(axis=0)[has]
-    hi = np.where(valid, vsel, -np.inf).max(axis=0)[has]
+    lo = np.where(valid, vals, np.inf).min(axis=0)[has]
+    hi = np.where(valid, vals, -np.inf).max(axis=0)[has]
     est_h = est[has]
     tol = _CONVEXITY_RTOL * (hi - lo + 1.0)
     if ((est_h < lo - tol) | (est_h > hi + tol)).any():
@@ -226,27 +221,34 @@ def _estimate_columns(dist: np.ndarray, values: np.ndarray,
     return est, has
 
 
+def _estimate_columns(dist: np.ndarray, values: np.ndarray,
+                      config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate every target column of a dense (n_sources, n_targets) matrix.
+
+    inf marks excluded pairs; nearest-n ties go to the lower source index.
+    """
+    dsel, order = _select(dist, config)
+    return _estimate(dsel, values[order], config)
+
+
 def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, *,
                      snap_radius: int = DEFAULT_SNAP_RADIUS, threads: int = 1,
                      nodata: float = DEFAULT_NODATA) -> RasterGrid:
     """Interpolate over water cells using in-water path distances.
 
-    Source-target pairs flagged unreachable (separated by land) are excluded
-    before the neighborhood filter. Land and nodata cells, and water cells
-    with no reachable source, come back as nodata.
+    A source reaches a water cell when the two are connected through water,
+    however long the route; sources separated by land are excluded before
+    the neighborhood filter. Land and nodata cells, and water cells with no
+    reachable source, come back as nodata. ``threads`` is accepted for
+    compatibility; the search runs in the calling thread.
     """
     cells, values = snapped_sources(points, cost=cost, snap_radius=snap_radius)
-    fields = fields_for_cells(cost, cells, threads=threads)
+    dist, src = nearest_sources(cost, cells, k=config.n_nearest,
+                                max_distance=config.max_distance)
+    # empty slots (src -1) carry inf distances, so their values go unused
+    est, has = _estimate(dist, values[src], config)
     geom = cost.geometry
     water_flat = np.flatnonzero(cost.is_water.ravel())
-
-    dist = np.empty((len(fields), len(water_flat)))
-    for i, field in enumerate(fields):
-        d = field.distances.values.ravel()[water_flat]
-        ok = field.reachable.ravel()[water_flat]
-        dist[i] = np.where(ok, d, np.inf)
-
-    est, has = _estimate_columns(dist, values, config)
     out = np.full(geom.n_cells, nodata)
     out[water_flat[has]] = est[has]
     return RasterGrid(geom, out.reshape(geom.nrows, geom.ncols), nodata)

@@ -271,6 +271,15 @@ class TestInterpolateIpdw:
                 best = min(range(2), key=lambda i: (dists[i], i))
                 assert out.values[r, c] == pts.values[best]
 
+    def test_long_all_water_route_stays_reachable(self):
+        # The strip is 300 cells long, three times land_cost cells: cells far
+        # from every source are still connected through water.
+        geom = GridGeometry(ncols=300, nrows=10, xll=0.0, yll=0.0, cellsize=60.0)
+        cost = CostSurface(RasterGrid(geom, np.ones((10, 300)), -9999.0), land_cost=100.0)
+        pts = points([[30, 30, 1.0], [90, 330, 2.0], [150, 570, 3.0]])
+        out = interpolate_ipdw(pts, cost, InterpConfig())
+        assert not out.is_nodata.any()
+
     def test_threads_do_not_change_output(self):
         vals = np.ones((6, 6))
         vals[2, 1:5] = 10000.0

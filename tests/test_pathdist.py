@@ -2,21 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from pathidw import (
     CostSurface,
     GridGeometry,
+    InterpConfig,
     PointSet,
     RasterGrid,
     SnapError,
     distance_field,
     distances_to_points,
     fields_for_cells,
+    interpolate_ipdw,
     move_graph,
+    nearest_sources,
     snap_points,
     snap_to_water,
+    snapped_sources,
 )
+from pathidw import pathdist
+from pathidw.interpolate import _estimate_columns, _select
 
 CS = 60.0
 
@@ -326,3 +334,140 @@ class TestDistancesToPoints:
         a, b = distances_to_points(cost, pts)
         assert a.source == b.source
         assert np.array_equal(a.distances.values, b.distances.values)
+
+
+def dense_reference(cost, pts, config):
+    """IPDW table and raster from full distance fields and the dense estimator.
+
+    A water cell counts as reached through water when its full-graph
+    distance is below one land crossing, ``(land_cost + water_cost) *
+    cellsize``; on these small grids every water route is far shorter.
+    Returns ((distances, sources), raster values).
+    """
+    cells, values = snapped_sources(pts, cost=cost)
+    water_flat = np.flatnonzero(cost.is_water.ravel())
+    crossing = (cost.land_cost + cost.water_cost) * cost.geometry.cellsize
+    rows = []
+    for field in fields_for_cells(cost, cells):
+        d = field.distances.values.ravel()[water_flat]
+        routed = ~field.distances.is_nodata.ravel()[water_flat] & (d < crossing)
+        rows.append(np.where(routed, d, np.inf))
+    dist = np.array(rows)
+    est, has = _estimate_columns(dist, values, config)
+    out = np.full(cost.geometry.n_cells, -9999.0)
+    out[water_flat[has]] = est[has]
+    return _select(dist, config), out.reshape(cost.geometry.nrows, cost.geometry.ncols)
+
+
+def assert_matches_dense(cost, pts, config):
+    (ref_d, ref_s), ref_raster = dense_reference(cost, pts, config)
+    cells, _ = snapped_sources(pts, cost=cost)
+    dist, src = nearest_sources(cost, cells, k=config.n_nearest,
+                                max_distance=config.max_distance)
+    rows = len(dist)
+    assert np.isinf(ref_d[rows:]).all()
+    assert np.array_equal(dist, ref_d[:rows])
+    found = np.isfinite(dist)
+    assert np.array_equal(src[found], ref_s[:rows][found])
+    assert (src[~found] == -1).all()
+    assert np.array_equal(interpolate_ipdw(pts, cost, config).values, ref_raster)
+
+
+def points_on_cells(cost, cells, rng):
+    """One point per (row, col), at a random spot inside the cell."""
+    geom = cost.geometry
+    xy = np.array([geom.center_of(r, c) for r, c in cells])
+    xy += rng.uniform(-0.4, 0.4, size=xy.shape) * geom.cellsize
+    return PointSet(xy[:, 0], xy[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
+
+
+class TestNearestSources:
+    @given(data=st.data())
+    def test_random_grids_match_dense_reference(self, data):
+        nrows, ncols = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        water_cost = data.draw(st.sampled_from([1.0, 0.5, 3.0]))
+        vals = np.where(rng.random((nrows, ncols)) < data.draw(st.floats(0.0, 0.5)),
+                        10000.0, water_cost)
+        vals[0, 0] = water_cost
+        cost = CostSurface(RasterGrid(GridGeometry(ncols, nrows, 0.0, 0.0, CS), vals, -9999.0),
+                           water_cost, 10000.0)
+        wet = np.argwhere(cost.is_water)
+        picks = rng.integers(0, len(wet), size=data.draw(st.integers(1, 40)))
+        pts = points_on_cells(cost, [tuple(wet[i]) for i in picks], rng)
+        config = data.draw(st.sampled_from([
+            InterpConfig.nearest(1), InterpConfig.nearest(2), InterpConfig.nearest(4),
+            InterpConfig.within(water_cost * CS * 3.5), InterpConfig.all_points()]))
+        assert_matches_dense(cost, pts, config)
+
+    def test_equal_path_distances_go_to_the_earlier_source(self):
+        # A lattice of sources two cells apart on open water puts many cells
+        # at equal distance from several sources; the nearest one must be the
+        # earliest in input order, in both input orders.
+        cost = water(9, 9)
+        cells = [(r, c) for r in range(0, 9, 2) for c in range(0, 9, 2)]
+        pts = points_on_cells(cost, cells, np.random.default_rng(0))
+        backwards = PointSet(pts.x[::-1], pts.y[::-1], pts.values[::-1])
+        (ref_d, _), _ = dense_reference(cost, pts, InterpConfig.all_points())
+        assert (ref_d[0] == ref_d[1]).sum() > 20
+        config = InterpConfig.nearest(1)
+        assert_matches_dense(cost, pts, config)
+        assert_matches_dense(cost, backwards, config)
+        assert not np.array_equal(interpolate_ipdw(pts, cost, config).values,
+                                  interpolate_ipdw(backwards, cost, config).values)
+
+    def test_within_keeps_a_cell_exactly_at_max_distance(self):
+        cost = water(1, 12)
+        pts = points_on_cells(cost, [(0, 0), (0, 11)], np.random.default_rng(1))
+        config = InterpConfig.within(3 * CS)
+        dist, src = nearest_sources(cost, [(0, 0), (0, 11)], max_distance=3 * CS)
+        assert dist[0, 3] == 3 * CS and src[0, 3] == 0
+        assert np.isinf(dist[:, 4]).all()
+        assert_matches_dense(cost, pts, config)
+        out = interpolate_ipdw(pts, cost, config)
+        assert out.values[0, 3] == pts.values[0]
+        assert out.is_nodata[0, 4:8].all()
+
+    @pytest.mark.parametrize("config", [
+        InterpConfig.nearest(1), InterpConfig.nearest(3), InterpConfig.nearest(10),
+        InterpConfig.within(400.0), InterpConfig.all_points()])
+    def test_basins_with_fewer_than_k_sources(self, config):
+        # Walls seal four basins holding 0, 2, 12 and 30 sources.
+        vals = np.ones((16, 16))
+        vals[7, :] = 10000.0
+        vals[:, 7] = 10000.0
+        cost = surface(vals)
+        rng = np.random.default_rng(2)
+        cells = [(int(r), int(c)) for r, c in
+                 [*rng.integers(0, 7, (2, 2)),
+                  *(rng.integers(0, 7, (12, 2)) + [8, 0]),
+                  *(rng.integers(0, 7, (30, 2)) + [8, 8])]]
+        pts = points_on_cells(cost, cells, rng)
+        assert_matches_dense(cost, pts, config)
+        out = interpolate_ipdw(pts, cost, config)
+        assert out.is_nodata[:7, 8:].all()
+
+    @pytest.mark.parametrize("water_cost", [1.0, 0.5])
+    def test_sources_in_one_corner_retry_to_an_unbounded_pass(self, water_cost, monkeypatch):
+        # Far cells cannot find k sources within any bounded radius, so the
+        # search widens and finally runs unbounded. With water_cost 0.5 the
+        # straight-line pruning bound must scale by it too.
+        cost = CostSurface(RasterGrid(GridGeometry(30, 30, 0.0, 0.0, CS),
+                                      np.full((30, 30), water_cost), -9999.0),
+                           water_cost, 10000.0)
+        rng = np.random.default_rng(3)
+        cells = [divmod(int(i), 5) for i in rng.choice(25, size=20, replace=False)]
+        pts = points_on_cells(cost, cells, rng)
+        limits = []
+        real = pathdist.csgraph.dijkstra
+
+        def spy(*args, **kwargs):
+            limits.append(kwargs.get("limit", np.inf))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
+        config = InterpConfig.nearest(2)
+        assert_matches_dense(cost, pts, config)
+        bounded = sorted({lim for lim in limits if np.isfinite(lim)})
+        assert len(bounded) == pathdist._BOUNDED_PASSES
+        assert np.isinf(limits[-1])
