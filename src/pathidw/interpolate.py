@@ -11,11 +11,13 @@ distances that ignore barriers. Both share one ``InterpConfig``, so power
 and neighborhood settings cannot diverge between methods being compared.
 
 Both interpolators fill a neighbor table, a (rows, targets) array of
-distances and source indices with each column ordered by (distance, source
-order), and hand it to one estimator: IPDW from the bounded path search
-``pathdist.nearest_sources``, IDW by selecting from a dense straight-line
-distance matrix. ``idw_estimate`` is that estimator on a single column, so
-the clamp and the tie rule exist once.
+distances and values, and hand it to one estimator: IPDW from the bounded
+path search ``pathdist.nearest_sources``, IDW by selecting from a dense
+straight-line distance matrix. In nearest-n mode with more than n sources
+each column holds the n nearest ordered by (distance, source order);
+otherwise the rows are the sources in input order. The estimator sums in
+row order, so both fillers give the same bits. ``idw_estimate`` is that
+estimator on a single column, so the clamp and the tie rule exist once.
 
 Measurement points are snapped to water-cell centers before estimation and
 points landing on the same cell are averaged, for both methods alike; a
@@ -110,8 +112,8 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
         return None
     d = np.array([p[0] for p in pairs])[:, None]
     v = np.array([p[1] for p in pairs])
-    dsel, order = _select(d, config)
-    est, has = _estimate(dsel, v[order], config)
+    dsel, vsel = _select(d, v, config)
+    est, has = _estimate(dsel, vsel, config)
     if not has[0]:
         return None
     used = dsel[np.isfinite(dsel)]
@@ -156,18 +158,21 @@ def snapped_sources(points: PointSet, *, cost: CostSurface | None = None,
     return unique, means
 
 
-def _select(dist: np.ndarray, config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
+def _select(dist: np.ndarray, values: np.ndarray,
+            config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Neighbor table from a dense (n_sources, n_targets) distance matrix.
 
-    inf marks excluded pairs. Returns the selected distances and their
-    source indices, each column ordered by (distance, source index).
+    inf marks excluded pairs. Returns the table's distances and values.
+    Rows stay in source order, except in nearest-n mode with more than n
+    sources, where each column keeps its n nearest ordered by (distance,
+    source index).
     """
     if config.mode == "within":
         dist = np.where(dist <= config.max_distance, dist, np.inf)
-    order = np.argsort(dist, axis=0, kind="stable")
-    if config.mode == "nearest":
-        order = order[:config.n_nearest]
-    return np.take_along_axis(dist, order, axis=0), order
+    if config.mode == "nearest" and len(dist) > config.n_nearest:
+        order = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
+        return np.take_along_axis(dist, order, axis=0), values[order]
+    return dist, np.broadcast_to(values[:, None], dist.shape)
 
 
 def _estimate(dist: np.ndarray, vals: np.ndarray,
@@ -227,8 +232,7 @@ def _estimate_columns(dist: np.ndarray, values: np.ndarray,
 
     inf marks excluded pairs; nearest-n ties go to the lower source index.
     """
-    dsel, order = _select(dist, config)
-    return _estimate(dsel, values[order], config)
+    return _estimate(*_select(dist, values, config), config)
 
 
 def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, *,

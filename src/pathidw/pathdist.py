@@ -61,26 +61,14 @@ class DistanceField:
         self.reachable.setflags(write=False)
 
 
-def move_graph(cost: CostSurface, *, water_only: bool = False) -> sparse.csr_matrix:
-    """Sparse symmetric move graph over the cost surface, cells in row-major order.
-
-    With ``water_only`` the nodes are the water cells alone (row-major) and
-    only moves between two water cells are kept, weighted exactly as in the
-    full graph.
-    """
+def move_graph(cost: CostSurface) -> sparse.csr_matrix:
+    """Sparse symmetric move graph over the cost surface, cells in row-major order."""
     geom = cost.geometry
     nr, nc = geom.nrows, geom.ncols
     vals = cost.raster.values
+    traversable = ~cost.raster.is_nodata
     blocked = ~cost.is_water  # land or nodata: blocks corner cutting
-    if water_only:
-        traversable = ~blocked
-        n_nodes = int(traversable.sum())
-        index = np.full((nr, nc), -1)
-        index[traversable] = np.arange(n_nodes)
-    else:
-        traversable = ~cost.raster.is_nodata
-        n_nodes = nr * nc
-        index = np.arange(n_nodes).reshape(nr, nc)
+    index = np.arange(nr * nc).reshape(nr, nc)
 
     rows, cols, data = [], [], []
     for dr, dc, mult in _MOVES:
@@ -109,7 +97,7 @@ def move_graph(cost: CostSurface, *, water_only: bool = False) -> sparse.csr_mat
     else:
         rows = cols = np.empty(0, dtype=int)
         data = np.empty(0)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(nr * nc, nr * nc))
 
 
 def distance_field(cost: CostSurface, source: tuple[int, int], *,
@@ -167,10 +155,9 @@ def fields_for_cells(cost: CostSurface, cells, *, threads: int = 1,
 # sources per Dijkstra call: a chunk's (sources x water cells) block is the
 # search's largest temporary next to the neighbor table itself
 _CHUNK = 32
-# bounded passes, the radius growing by _GROWTH each time, before the last,
-# unbounded one; the few cells left after the first pass are usually near
-# the edge of the sources' spread and need only a little more
-_BOUNDED_PASSES = 4
+# radius factor per retry: on the plume benchmark scene the first pass
+# certifies 99.7% of cells and one retry at 1.5x the rest; doubling makes
+# that retry cost twice as much
 _GROWTH = 1.5
 # relative slack on the Euclidean lower bound, far above the rounding of
 # path sums and of the bound itself, so pruning never drops a true neighbor
@@ -178,54 +165,41 @@ _BOUND_SLACK = 1e-9
 
 
 class _NeighborTable:
-    """Running per-target table of the nearest labels, merged chunk by chunk.
+    """Running per-target table of the k nearest labels, merged chunk by chunk.
 
-    ``dist`` and ``src`` are (rows, n_targets); an empty slot holds an inf
-    distance and an arbitrary source. Each column is ordered by (distance,
-    source index). Rows grow with the largest column, up to ``cap``.
+    ``dist`` and ``src`` are (k, n_targets); an empty slot holds an inf
+    distance. Each column is ordered by (distance, source index).
     """
 
-    def __init__(self, n_targets: int, cap: int):
-        self.cap = cap
-        self.dist = np.full((0, n_targets), np.inf)
-        self.src = np.zeros((0, n_targets), dtype=int)
+    def __init__(self, n_targets: int, k: int):
+        self.dist = np.full((k, n_targets), np.inf)
+        self.src = np.full((k, n_targets), -1)
 
     def search(self, graph, nodes, ids, columns, limit=np.inf):
         """Dijkstra from sources ``ids`` (ascending) into the ``columns`` targets.
 
         Stable sorting keeps ties in source order because the table holds
         only labels of earlier sources in every column it merges into: the
-        caller clears the columns before a pass and runs each pass in
-        ascending source order.
+        caller clears a column before searching it again and runs each pass
+        in ascending source order.
         """
         for lo in range(0, len(ids), _CHUNK):
             part = ids[lo:lo + _CHUNK]
             block = csgraph.dijkstra(graph, directed=True, indices=nodes[part], limit=limit)
-            # a label must beat a full column's last one: a tie loses to the
-            # earlier source already there
-            last = self.dist[-1] if len(self.dist) == self.cap else np.inf
-            cols = np.flatnonzero(columns & (block.min(axis=0) < last))
+            # a label must beat the column's k-th: a tie loses to the earlier
+            # source already there
+            cols = np.flatnonzero(columns & (block.min(axis=0) < self.dist[-1]))
             if not len(cols):
                 continue
             d = np.concatenate([self.dist[:, cols], block[:, cols]])
             s = np.concatenate([self.src[:, cols], np.repeat(part[:, None], len(cols), axis=1)])
-            rows = min(self.cap, max(len(self.dist), int(np.isfinite(d).sum(axis=0).max())))
-            if rows > len(self.dist):
-                pad = np.full((rows - len(self.dist), self.dist.shape[1]), np.inf)
-                self.dist = np.vstack([self.dist, pad])
-                self.src = np.vstack([self.src, np.zeros(pad.shape, dtype=int)])
-            order = np.argsort(d, axis=0, kind="stable")[:rows]
+            order = np.argsort(d, axis=0, kind="stable")[:len(self.dist)]
             self.dist[:, cols] = np.take_along_axis(d, order, axis=0)
             self.src[:, cols] = np.take_along_axis(s, order, axis=0)
 
     def clear(self, columns):
         self.dist[:, columns] = np.inf
-
-    def kth_found(self, k: int) -> np.ndarray:
-        """Targets whose k-th slot holds a label."""
-        if len(self.dist) < k:
-            return np.zeros(self.dist.shape[1], dtype=bool)
-        return np.isfinite(self.dist[k - 1])
+        self.src[:, columns] = -1
 
 
 def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
@@ -233,49 +207,47 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     """Neighbor table of in-water path distances from source cells.
 
     Returns ``(distances, sources)``, both shaped (rows, water cells) with
-    water cells in row-major order. Column t lists the sources connected to
-    water cell t through water, ordered by (distance, position in
-    ``cells``): the ``k`` nearest when ``k`` is set, those within
-    ``max_distance`` (inclusive) when that is set, otherwise all of them.
-    Empty slots hold inf and -1. Distances equal ``fields_for_cells``'s bit
-    for bit.
+    water cells in row-major order; a source reaches a water cell when the
+    two are connected through water. Empty slots hold inf and -1, and
+    distances equal ``fields_for_cells``'s bit for bit.
+
+    With ``k`` set and below the number of sources, column t lists the k
+    nearest sources of water cell t, ordered by (distance, position in
+    ``cells``). Otherwise row i is source i: all of them, or those within
+    ``max_distance`` (inclusive) when that is set.
 
     In nearest-k mode a source whose water component holds at most k
     sources, or which a disc of the starting radius R would mostly cover,
     is searched unbounded. The others run Dijkstra bounded by R, starting at
     twice the radius of a disc that holds k sources at the mean density. A
     target is certified once its k-th label is within R, since every source
-    beyond R is farther; the rest are cleared and retried with a larger R,
-    from the sources whose straight-line lower bound reaches a pending
-    target, and the last retry is unbounded.
+    beyond R is farther; the rest are cleared and retried at a larger
+    radius, from the sources whose straight-line lower bound reaches a
+    pending target.
     """
+    if k is not None and max_distance is not None:
+        raise ValueError("choose one of k and max_distance")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
     geom = cost.geometry
     water = cost.is_water
-    water_index = np.full(water.shape, -1)
-    water_index[water] = np.arange(int(water.sum()))
     cells = [tuple(c) for c in cells]
     for r, c in cells:
         if not (0 <= r < geom.nrows and 0 <= c < geom.ncols) or not water[r, c]:
             raise ValueError(f"source cell {(r, c)} out of bounds or not water")
-    nodes = np.array([water_index[r, c] for r, c in cells], dtype=int)
-    graph = move_graph(cost, water_only=True)
+    water_flat = np.flatnonzero(water.ravel())
+    nodes = np.searchsorted(water_flat, [r * geom.ncols + c for r, c in cells])
+    graph = move_graph(cost)[water_flat][:, water_flat]
+    if k is not None and k < len(nodes):
+        return _search_nearest(graph, nodes, k, cost, water_flat)
+    limit = np.inf if max_distance is None else max_distance
+    dist = csgraph.dijkstra(graph, directed=True, indices=nodes, limit=limit)
+    return dist, np.where(np.isinf(dist), -1, np.arange(len(nodes))[:, None])
+
+
+def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     n_water, n_src = graph.shape[0], len(nodes)
-    everywhere = np.ones(n_water, dtype=bool)
-    every_source = np.arange(n_src)
-
-    table = _NeighborTable(n_water, n_src if k is None else min(k, n_src))
-    if max_distance is not None:
-        table.search(graph, nodes, every_source, everywhere, limit=max_distance)
-    elif k is None or k >= n_src:
-        table.search(graph, nodes, every_source, everywhere)
-    else:
-        _search_nearest(table, graph, nodes, k, cost)
-    table.src[np.isinf(table.dist)] = -1
-    return table.dist, table.src
-
-
-def _search_nearest(table: _NeighborTable, graph, nodes, k: int, cost: CostSurface):
-    n_water, n_src = graph.shape[0], len(nodes)
+    table = _NeighborTable(n_water, k)
     _, comp = csgraph.connected_components(graph, directed=False)
     src_comp = comp[nodes]
     per_comp = np.bincount(src_comp, minlength=comp.max() + 1)
@@ -286,27 +258,24 @@ def _search_nearest(table: _NeighborTable, graph, nodes, k: int, cost: CostSurfa
     radius = 2.0 * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
     disc_cells = 4.0 * k * n_water / n_src
     whole = (per_comp <= k) | (comp_cells <= 2.0 * disc_cells)
+    table.search(graph, nodes, np.flatnonzero(whole[src_comp]), whole[comp])
 
-    unbounded = np.flatnonzero(whole[src_comp])
-    table.search(graph, nodes, unbounded, whole[comp])
-
-    rows, cols = np.nonzero(cost.is_water)
+    # Every component left holds more than k sources, so the loop ends once
+    # the radius spans it. All candidates sit on pending cells at first.
+    rows, cols = np.divmod(water_flat, cost.geometry.ncols)
     xy = np.column_stack([cols, rows]) * cs
-    candidates = np.flatnonzero(~whole[src_comp])
+    candidates = active = np.flatnonzero(~whole[src_comp])
     pending = ~whole[comp]
-    for _ in range(_BOUNDED_PASSES):
-        if not pending.any():
-            return
-        near, _ = cKDTree(xy[pending]).query(xy[nodes[candidates]])
-        active = candidates[wc * near <= radius * (1.0 + _BOUND_SLACK)]
-        table.clear(pending)
+    while pending.any():
         table.search(graph, nodes, active, pending, limit=radius)
-        pending &= ~table.kth_found(k)
-        radius *= _GROWTH
-    if pending.any():
+        pending &= np.isinf(table.dist[-1])
         table.clear(pending)
-        reaching = candidates[np.isin(src_comp[candidates], comp[pending])]
-        table.search(graph, nodes, reaching, pending)
+        radius *= _GROWTH
+        if pending.any():
+            near, _ = cKDTree(xy[pending]).query(xy[nodes[candidates]])
+            active = candidates[wc * near <= radius * (1.0 + _BOUND_SLACK)]
+    table.src[np.isinf(table.dist)] = -1
+    return table.dist, table.src
 
 
 def snap_to_water(cost: CostSurface, x: float, y: float, *,

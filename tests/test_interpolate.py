@@ -18,7 +18,7 @@ from pathidw import (
     interpolate_ipdw,
     snapped_sources,
 )
-from pathidw.interpolate import _estimate_columns
+from pathidw.interpolate import _estimate_columns, _select
 
 
 def surface(values, cellsize=60.0):
@@ -369,12 +369,28 @@ class TestEstimateColumns:
         est, has = _estimate_columns(dist.copy(), values, config)
         for t in range(nt):
             pairs = [(dist[i, t], values[i]) for i in range(k) if np.isfinite(dist[i, t])]
-            pred = idw_estimate(pairs, config)
-            if pred is None:
+            expected = oracles.shepard_direct(pairs, config.power, n_nearest=config.n_nearest,
+                                              max_distance=config.max_distance)
+            if expected is None:
                 assert not has[t]
             else:
                 assert has[t]
-                assert est[t] == pytest.approx(pred.value, rel=1e-12, abs=1e-12)
+                assert est[t] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_rows_keep_source_order_unless_nearest_n_trims(self):
+        # The estimator sums in row order, so the order fixes the last bits.
+        dist = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, np.inf]])
+        values = np.array([1.0, 2.0, 3.0])
+        for config in (InterpConfig.all_points(), InterpConfig.nearest(3)):
+            d, v = _select(dist, values, config)
+            assert np.array_equal(d, dist)
+            assert np.array_equal(v, np.broadcast_to(values[:, None], dist.shape))
+        d, v = _select(dist, values, InterpConfig.within(2.5))
+        assert np.array_equal(d, np.where(dist <= 2.5, dist, np.inf))
+        assert v[:, 0].tolist() == [1.0, 2.0, 3.0]
+        d, v = _select(dist, values, InterpConfig.nearest(2))
+        assert d.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+        assert v.tolist() == [[2.0, 1.0], [3.0, 2.0]]
 
     def test_zero_distance_column(self):
         dist = np.array([[0.0, 3.0], [1.0, 4.0]])

@@ -24,7 +24,7 @@ from pathidw import (
     snapped_sources,
 )
 from pathidw import pathdist
-from pathidw.interpolate import _estimate_columns, _select
+from pathidw.interpolate import _estimate
 
 CS = 60.0
 
@@ -337,11 +337,15 @@ class TestDistancesToPoints:
 
 
 def dense_reference(cost, pts, config):
-    """IPDW table and raster from full distance fields and the dense estimator.
+    """IPDW table and raster from full distance fields.
 
     A water cell counts as reached through water when its full-graph
     distance is below one land crossing, ``(land_cost + water_cost) *
-    cellsize``; on these small grids every water route is far shorter.
+    cellsize``; on these small grids every water route is far shorter. The
+    table is selected here: nearest-n with more than n sources keeps each
+    column's n nearest by a stable sort, otherwise rows are the sources in
+    input order. The raster is the shared estimator over that table, whose
+    arithmetic test_interpolate.py checks against ``oracles.shepard_direct``.
     Returns ((distances, sources), raster values).
     """
     cells, values = snapped_sources(pts, cost=cost)
@@ -353,10 +357,16 @@ def dense_reference(cost, pts, config):
         routed = ~field.distances.is_nodata.ravel()[water_flat] & (d < crossing)
         rows.append(np.where(routed, d, np.inf))
     dist = np.array(rows)
-    est, has = _estimate_columns(dist, values, config)
+    src = np.broadcast_to(np.arange(len(dist))[:, None], dist.shape)
+    if config.mode == "within":
+        dist = np.where(dist <= config.max_distance, dist, np.inf)
+    if config.mode == "nearest" and len(dist) > config.n_nearest:
+        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
+        dist = np.take_along_axis(dist, src, axis=0)
+    est, has = _estimate(dist, values[src], config)
     out = np.full(cost.geometry.n_cells, -9999.0)
     out[water_flat[has]] = est[has]
-    return _select(dist, config), out.reshape(cost.geometry.nrows, cost.geometry.ncols)
+    return (dist, src), out.reshape(cost.geometry.nrows, cost.geometry.ncols)
 
 
 def assert_matches_dense(cost, pts, config):
@@ -364,11 +374,9 @@ def assert_matches_dense(cost, pts, config):
     cells, _ = snapped_sources(pts, cost=cost)
     dist, src = nearest_sources(cost, cells, k=config.n_nearest,
                                 max_distance=config.max_distance)
-    rows = len(dist)
-    assert np.isinf(ref_d[rows:]).all()
-    assert np.array_equal(dist, ref_d[:rows])
+    assert np.array_equal(dist, ref_d)
     found = np.isfinite(dist)
-    assert np.array_equal(src[found], ref_s[:rows][found])
+    assert np.array_equal(src[found], ref_s[found])
     assert (src[~found] == -1).all()
     assert np.array_equal(interpolate_ipdw(pts, cost, config).values, ref_raster)
 
@@ -408,7 +416,7 @@ class TestNearestSources:
         cells = [(r, c) for r in range(0, 9, 2) for c in range(0, 9, 2)]
         pts = points_on_cells(cost, cells, np.random.default_rng(0))
         backwards = PointSet(pts.x[::-1], pts.y[::-1], pts.values[::-1])
-        (ref_d, _), _ = dense_reference(cost, pts, InterpConfig.all_points())
+        (ref_d, _), _ = dense_reference(cost, pts, InterpConfig.nearest(2))
         assert (ref_d[0] == ref_d[1]).sum() > 20
         config = InterpConfig.nearest(1)
         assert_matches_dense(cost, pts, config)
@@ -448,10 +456,10 @@ class TestNearestSources:
         assert out.is_nodata[:7, 8:].all()
 
     @pytest.mark.parametrize("water_cost", [1.0, 0.5])
-    def test_sources_in_one_corner_retry_to_an_unbounded_pass(self, water_cost, monkeypatch):
-        # Far cells cannot find k sources within any bounded radius, so the
-        # search widens and finally runs unbounded. With water_cost 0.5 the
-        # straight-line pruning bound must scale by it too.
+    def test_sources_in_one_corner_widen_the_radius(self, water_cost, monkeypatch):
+        # Far cells cannot find k sources within the starting radius, so
+        # the search retries them at a growing radius, pass after pass. With
+        # water_cost 0.5 the straight-line pruning bound must scale by it too.
         cost = CostSurface(RasterGrid(GridGeometry(30, 30, 0.0, 0.0, CS),
                                       np.full((30, 30), water_cost), -9999.0),
                            water_cost, 10000.0)
@@ -468,6 +476,9 @@ class TestNearestSources:
         monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
         config = InterpConfig.nearest(2)
         assert_matches_dense(cost, pts, config)
-        bounded = sorted({lim for lim in limits if np.isfinite(lim)})
-        assert len(bounded) == pathdist._BOUNDED_PASSES
-        assert np.isinf(limits[-1])
+        passes = list(dict.fromkeys(lim for lim in limits if np.isfinite(lim)))
+        assert len(passes) >= 3
+        assert all(b == pathdist._GROWTH * a for a, b in zip(passes, passes[1:]))
+        # the last radius spans the farthest cell's second-nearest source
+        dist, _ = nearest_sources(cost, snapped_sources(pts, cost=cost)[0], k=2)
+        assert passes[-2] < dist[1].max() <= passes[-1]
