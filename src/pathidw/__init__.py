@@ -16,9 +16,8 @@ from .interpolate import (InterpConfig, Prediction, idw_estimate,
                           interpolate_idw, interpolate_ipdw, snapped_sources)
 from .metrics import (KneeCandidate, Scalogram, edge_density, knee_candidate,
                       scalogram)
-from .pathdist import (DEFAULT_SNAP_RADIUS, DistanceField, distance_field,
-                       distances_to_points, fields_for_cells, move_graph,
-                       nearest_sources, snap_points, snap_to_water)
+from .pathdist import (DEFAULT_SNAP_RADIUS, move_graph, nearest_sources,
+                       snap_points, snap_to_water)
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 from .scenes import SCENE_KINDS, SyntheticScene, make_scene
@@ -29,14 +28,13 @@ from .validation import (ErrorReport, PairedTestResult, RangeErrorTable,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError", "CostSurface", "DEFAULT_LAND_COST", "DEFAULT_NODATA",
-    "DEFAULT_SNAP_RADIUS", "DEFAULT_WATER_COST", "DistanceField",
+    "ConsistencyError", "CostSurface", "DEFAULT_LAND_COST",
+    "DEFAULT_NODATA", "DEFAULT_SNAP_RADIUS", "DEFAULT_WATER_COST",
     "ErrorReport", "FormatError", "GridGeometry", "InputError",
     "InterpConfig", "KneeCandidate", "PairedTestResult", "PointSet",
     "PolygonError", "PolygonSet", "Prediction", "RangeErrorTable",
     "RasterGrid", "SCENE_KINDS", "Scalogram", "SnapError", "SplitResult",
-    "SyntheticScene", "cross_validate", "distance_field",
-    "distances_to_points", "edge_density", "fields_for_cells", "grid_split",
+    "SyntheticScene", "cross_validate", "edge_density", "grid_split",
     "idw_estimate", "interpolate_idw", "interpolate_ipdw", "knee_candidate",
     "make_scene", "move_graph", "nearest_sources", "range_vs_error",
     "rasterize_land", "reclassify", "scalogram", "snap_points",

@@ -18,6 +18,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .costsurface import (DEFAULT_LAND_COST, DEFAULT_WATER_COST, CostSurface,
                           rasterize_land)
@@ -151,10 +153,7 @@ def _extent_geometry(extent: str, cellsize: float) -> GridGeometry:
     xmin, ymin, xmax, ymax = _parse_extent(extent)
     if cellsize <= 0:
         raise InputError(f"cellsize must be positive, got {cellsize}")
-    import math
-    ncols = max(1, math.ceil((xmax - xmin) / cellsize - 1e-9))
-    nrows = max(1, math.ceil((ymax - ymin) / cellsize - 1e-9))
-    return GridGeometry(ncols, nrows, xmin, ymin, cellsize)
+    return GridGeometry.covering(xmin, ymin, xmax - xmin, ymax - ymin, cellsize)
 
 
 def _parse_cellsizes(text: str) -> list[float]:
@@ -245,7 +244,6 @@ def _load_cost_surface(path) -> CostSurface:
     water). A single-valued raster is treated as all water.
     """
     raster = read_ascii_grid(path)
-    import numpy as np
     distinct = np.unique(raster.values[~raster.is_nodata])
     if len(distinct) == 2:
         return CostSurface(raster, float(distinct[0]), float(distinct[1]))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costsurface import CostSurface
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SnapError
 from .pathdist import DEFAULT_SNAP_RADIUS, nearest_sources, snap_points
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
@@ -52,7 +52,6 @@ class InterpConfig:
     power: float = 2.0
     n_nearest: int | None = 10
     max_distance: float | None = None
-    exact_at_zero: bool = True
 
     def __post_init__(self):
         if not self.power > 0:
@@ -73,19 +72,16 @@ class InterpConfig:
         return "all"
 
     @classmethod
-    def nearest(cls, n: int, *, power: float = 2.0, exact_at_zero: bool = True) -> "InterpConfig":
-        return cls(power=power, n_nearest=n, max_distance=None, exact_at_zero=exact_at_zero)
+    def nearest(cls, n: int, *, power: float = 2.0) -> "InterpConfig":
+        return cls(power=power, n_nearest=n, max_distance=None)
 
     @classmethod
-    def within(cls, distance: float, *, power: float = 2.0,
-               exact_at_zero: bool = True) -> "InterpConfig":
-        return cls(power=power, n_nearest=None, max_distance=distance,
-                   exact_at_zero=exact_at_zero)
+    def within(cls, distance: float, *, power: float = 2.0) -> "InterpConfig":
+        return cls(power=power, n_nearest=None, max_distance=distance)
 
     @classmethod
-    def all_points(cls, *, power: float = 2.0, exact_at_zero: bool = True) -> "InterpConfig":
-        return cls(power=power, n_nearest=None, max_distance=None,
-                   exact_at_zero=exact_at_zero)
+    def all_points(cls, *, power: float = 2.0) -> "InterpConfig":
+        return cls(power=power, n_nearest=None, max_distance=None)
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,9 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
     """Estimate one value from (distance, value) neighbor pairs.
 
     Returns None (a NoData outcome, not an error) when no neighbor survives
-    the neighborhood filter. With ``exact_at_zero`` a zero-distance neighbor
-    short-circuits to the mean of all zero-distance values. An infinite
-    distance marks a neighbor that cannot be reached; it is never used.
+    the neighborhood filter. A zero-distance neighbor short-circuits to the
+    mean of all zero-distance values. An infinite distance marks a neighbor
+    that cannot be reached; it is never used.
     """
     pairs = [(float(d), float(v)) for d, v in neighbors]
     if not all(d >= 0 for d, _ in pairs):
@@ -147,7 +143,6 @@ def snapped_sources(points: PointSet, *, cost: CostSurface | None = None,
             else:
                 cells.append(cell)
         if missing:
-            from .errors import SnapError
             raise SnapError([(i, "outside the grid extent") for i in missing])
 
     grouped: dict[tuple[int, int], list[float]] = {}
@@ -187,8 +182,6 @@ def _estimate(dist: np.ndarray, vals: np.ndarray,
     valid = np.isfinite(dist)
     zero = valid & (dist == 0.0)
     zero_cols = zero.any(axis=0)
-    if zero_cols.any() and not config.exact_at_zero:
-        raise ValueError("zero neighbor distance with exact_at_zero disabled")
 
     # Weights are scale-invariant in the distances, so normalizing by the
     # nearest one keeps d**-p away from overflow at extreme magnitudes. A
@@ -224,15 +217,6 @@ def _estimate(dist: np.ndarray, vals: np.ndarray,
         raise ConsistencyError("estimate outside neighbor value range")
     est[has] = np.minimum(np.maximum(est_h, lo), hi)
     return est, has
-
-
-def _estimate_columns(dist: np.ndarray, values: np.ndarray,
-                      config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate every target column of a dense (n_sources, n_targets) matrix.
-
-    inf marks excluded pairs; nearest-n ties go to the lower source index.
-    """
-    return _estimate(*_select(dist, values, config), config)
 
 
 def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, *,
@@ -283,7 +267,7 @@ def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConf
     dist = np.hypot(tx[None, :] - centers[:, 0][:, None],
                     ty[None, :] - centers[:, 1][:, None])
 
-    est, has = _estimate_columns(dist, values, config)
+    est, has = _estimate(*_select(dist, values, config), config)
     out = np.full(geometry.n_cells, nodata)
     out[target_flat[has]] = est[has]
     return RasterGrid(geometry, out.reshape(geometry.nrows, geometry.ncols), nodata)

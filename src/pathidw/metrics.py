@@ -81,9 +81,8 @@ def scalogram(polygons: PolygonSet, extent: GridGeometry, cellsizes) -> Scalogra
         raise ValueError("duplicate cellsizes")
     rows = []
     for cs in sizes:
-        ncols = max(1, int(np.ceil(extent.width / cs - 1e-9)))
-        nrows = max(1, int(np.ceil(extent.height / cs - 1e-9)))
-        geom = GridGeometry(ncols, nrows, extent.xll, extent.yll, cs)
+        geom = GridGeometry.covering(extent.xll, extent.yll, extent.width,
+                                     extent.height, cs)
         rows.append((cs, edge_density(rasterize_land(polygons, geom))))
     return Scalogram(tuple(rows))
 

@@ -8,11 +8,6 @@ cannot be entered, and a diagonal move is forbidden when both orthogonal
 cells flanking it are blocked (land or nodata): two land cells touching at a
 corner form a watertight wall.
 
-Land cells themselves stay traversable at high cost. Any route forced
-through land accumulates at least ``land_cost * cellsize`` meters (one cell
-in, one cell out), so ``DistanceField`` flags cells at or beyond that
-distance unreachable: they cannot be reached without crossing a barrier.
-
 Interpolation needs only each water cell's nearest sources, and only
 through water. Any route that enters land costs at least
 ``(land_cost + water_cost) * cellsize``, so below that the distance to a
@@ -26,7 +21,6 @@ short of neighbors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -36,29 +30,11 @@ from scipy.spatial import cKDTree
 from .costsurface import CostSurface
 from .errors import SnapError
 from .points import PointSet
-from .raster import RasterGrid
 
 DEFAULT_SNAP_RADIUS = 2
 
 # (drow, dcol, length multiplier); each undirected pair is listed once
 _MOVES = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0)))
-
-
-@dataclass(frozen=True)
-class DistanceField:
-    """Accumulated distances from one source cell.
-
-    ``distances`` holds meters (nodata where no route exists at all);
-    ``reachable`` is False for cells that cannot be reached without
-    traversing land, including nodata cells.
-    """
-
-    source: tuple[int, int]
-    distances: RasterGrid
-    reachable: np.ndarray
-
-    def __post_init__(self):
-        self.reachable.setflags(write=False)
 
 
 def move_graph(cost: CostSurface) -> sparse.csr_matrix:
@@ -98,58 +74,6 @@ def move_graph(cost: CostSurface) -> sparse.csr_matrix:
         rows = cols = np.empty(0, dtype=int)
         data = np.empty(0)
     return sparse.csr_matrix((data, (rows, cols)), shape=(nr * nc, nr * nc))
-
-
-def distance_field(cost: CostSurface, source: tuple[int, int], *,
-                   graph: sparse.csr_matrix | None = None) -> DistanceField:
-    """Distances from ``source`` (a (row, col) cell) to every cell.
-
-    Raises ValueError when the source is out of bounds or a nodata cell.
-    """
-    geom = cost.geometry
-    r, c = source
-    if not (0 <= r < geom.nrows and 0 <= c < geom.ncols):
-        raise ValueError(f"source cell {source} outside a {geom.nrows}x{geom.ncols} grid")
-    if cost.raster.is_nodata[r, c]:
-        raise ValueError(f"source cell {source} is nodata")
-    g = move_graph(cost) if graph is None else graph
-    raw = csgraph.dijkstra(g, directed=True, indices=[r * geom.ncols + c])[0]
-    return _field_from_raw(cost, (r, c), raw)
-
-
-def _field_from_raw(cost: CostSurface, source: tuple[int, int],
-                    raw: np.ndarray) -> DistanceField:
-    geom = cost.geometry
-    shape = (geom.nrows, geom.ncols)
-    finite = np.isfinite(raw)
-    threshold = cost.land_cost * geom.cellsize
-    reachable = (finite & (raw < threshold)).reshape(shape)
-    dist = np.where(finite, raw, cost.raster.nodata).reshape(shape)
-    return DistanceField(source, RasterGrid(geom, dist, cost.raster.nodata), reachable)
-
-
-def fields_for_cells(cost: CostSurface, cells, *, threads: int = 1,
-                     graph: sparse.csr_matrix | None = None) -> list[DistanceField]:
-    """One DistanceField per source cell, order-preserving.
-
-    Duplicate cells share one computation. ``threads`` is accepted for
-    compatibility and ignored: scipy's Dijkstra holds the interpreter lock,
-    so worker threads do not run it in parallel.
-    """
-    cells = [tuple(c) for c in cells]
-    geom = cost.geometry
-    for cell in cells:
-        r, c = cell
-        if not (0 <= r < geom.nrows and 0 <= c < geom.ncols) or cost.raster.is_nodata[r, c]:
-            raise ValueError(f"source cell {cell} out of bounds or nodata")
-    if not cells:
-        return []
-    g = move_graph(cost) if graph is None else graph
-    unique = list(dict.fromkeys(cells))
-    indices = np.array([r * geom.ncols + c for r, c in unique])
-    raw = csgraph.dijkstra(g, directed=True, indices=indices)
-    per_cell = {cell: _field_from_raw(cost, cell, raw[i]) for i, cell in enumerate(unique)}
-    return [per_cell[cell] for cell in cells]
 
 
 # sources per Dijkstra call: a chunk's (sources x water cells) block is the
@@ -209,7 +133,7 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     Returns ``(distances, sources)``, both shaped (rows, water cells) with
     water cells in row-major order; a source reaches a water cell when the
     two are connected through water. Empty slots hold inf and -1, and
-    distances equal ``fields_for_cells``'s bit for bit.
+    distances equal a full-grid Dijkstra bit for bit.
 
     With ``k`` set and below the number of sources, column t lists the k
     nearest sources of water cell t, ordered by (distance, position in
@@ -325,15 +249,3 @@ def snap_points(cost: CostSurface, points: PointSet, *,
     if failures:
         raise SnapError(failures)
     return cells
-
-
-def distances_to_points(cost: CostSurface, sources: PointSet, *,
-                        snap_radius: int = DEFAULT_SNAP_RADIUS,
-                        threads: int = 1) -> list[DistanceField]:
-    """Distance field per measurement point, order-preserving with the input.
-
-    Each point is snapped to a water cell first; identical points yield
-    identical fields. All snap failures are reported together.
-    """
-    cells = snap_points(cost, sources, radius=snap_radius)
-    return fields_for_cells(cost, cells, threads=threads)

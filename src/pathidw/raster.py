@@ -36,6 +36,18 @@ class GridGeometry:
         if not (math.isfinite(self.xll) and math.isfinite(self.yll)):
             raise ValueError("grid origin must be finite")
 
+    @classmethod
+    def covering(cls, xll: float, yll: float, width: float, height: float,
+                 cellsize: float) -> "GridGeometry":
+        """Grid anchored at (xll, yll) whose cells cover at least width x height.
+
+        Counts round up, with a 1e-9 cell allowance so a span that is a whole
+        number of cells up to rounding gets no extra column or row.
+        """
+        ncols = max(1, math.ceil(width / cellsize - 1e-9))
+        nrows = max(1, math.ceil(height / cellsize - 1e-9))
+        return cls(ncols, nrows, xll, yll, cellsize)
+
     @property
     def width(self) -> float:
         return self.ncols * self.cellsize

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costsurface import CostSurface, PolygonSet, rasterize_land
-from .pathdist import distance_field
+from .pathdist import nearest_sources
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 
@@ -92,11 +92,12 @@ def make_scene(kind: str, *, ncols: int = 100, nrows: int = 100,
         truth_vals[:] = BASE_VALUE + step * (cx - geom.xll) / geom.width
     else:
         source = (nrows // 2, max(0, ncols // 6))
-        field = distance_field(cost, source)
-        usable = water & field.reachable
-        dmax = float(field.distances.values[usable].max())
+        d = np.full((nrows, ncols), np.inf)
+        d[water] = nearest_sources(cost, [source])[0][0]
+        usable = np.isfinite(d)
+        dmax = float(d[usable].max())
         scale = dmax if dmax > 0 else 1.0
-        decay = PLUME_PEAK - step * field.distances.values / scale
+        decay = PLUME_PEAK - step * d / scale
         truth_vals = np.where(usable, decay, PLUME_PEAK - step)
 
     truth_vals = np.where(water, truth_vals, DEFAULT_NODATA)

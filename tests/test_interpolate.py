@@ -18,7 +18,7 @@ from pathidw import (
     interpolate_ipdw,
     snapped_sources,
 )
-from pathidw.interpolate import _estimate_columns, _select
+from pathidw.interpolate import _estimate, _select
 
 
 def surface(values, cellsize=60.0):
@@ -101,11 +101,6 @@ class TestIdwEstimate:
         pred = idw_estimate([(0.0, 4.0), (0.0, 8.0), (2.0, 0.0)], InterpConfig.all_points())
         assert pred.value == 6.0
         assert pred.n_neighbors_used == 2
-
-    def test_zero_distance_with_exactness_disabled_is_an_error(self):
-        config = InterpConfig.all_points(exact_at_zero=False)
-        with pytest.raises(ValueError):
-            idw_estimate([(0.0, 7.0)], config)
 
     def test_empty_neighborhood_returns_none(self):
         assert idw_estimate([], InterpConfig.all_points()) is None
@@ -366,7 +361,7 @@ class TestEstimateColumns:
             config = InterpConfig.within(float(rng.uniform(1.0, 120.0)))
         else:
             config = InterpConfig.all_points()
-        est, has = _estimate_columns(dist.copy(), values, config)
+        est, has = _estimate(*_select(dist.copy(), values, config), config)
         for t in range(nt):
             pairs = [(dist[i, t], values[i]) for i in range(k) if np.isfinite(dist[i, t])]
             expected = oracles.shepard_direct(pairs, config.power, n_nearest=config.n_nearest,
@@ -395,13 +390,15 @@ class TestEstimateColumns:
     def test_zero_distance_column(self):
         dist = np.array([[0.0, 3.0], [1.0, 4.0]])
         values = np.array([6.0, 10.0])
-        est, has = _estimate_columns(dist, values, InterpConfig.all_points())
+        config = InterpConfig.all_points()
+        est, has = _estimate(*_select(dist, values, config), config)
         assert has.all()
         assert est[0] == 6.0
 
     def test_all_excluded_column(self):
         dist = np.array([[np.inf], [np.inf]])
-        est, has = _estimate_columns(dist, np.array([1.0, 2.0]), InterpConfig.all_points())
+        config = InterpConfig.all_points()
+        est, has = _estimate(*_select(dist, np.array([1.0, 2.0]), config), config)
         assert not has[0]
 
 

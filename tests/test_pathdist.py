@@ -13,9 +13,6 @@ from pathidw import (
     PointSet,
     RasterGrid,
     SnapError,
-    distance_field,
-    distances_to_points,
-    fields_for_cells,
     interpolate_ipdw,
     move_graph,
     nearest_sources,
@@ -40,31 +37,50 @@ def water(nrows, ncols, cellsize=CS):
     return surface(np.ones((nrows, ncols)), cellsize=cellsize)
 
 
-def relax_field(cost, source):
+def land_masked(cost):
+    """The cost values with every non-water cell set to nodata."""
+    return np.where(cost.is_water, cost.raster.values, cost.raster.nodata)
+
+
+def relax_field(cost, source, edges=None):
+    """Oracle in-water distances from ``source`` as a grid, inf where unreached."""
     raw = oracles.relax_distances(
-        cost.raster.values,
+        land_masked(cost),
         source,
         cost.raster.nodata,
         cost.water_cost,
         cost.geometry.cellsize,
+        edges=edges,
     )
     return raw.reshape(cost.geometry.nrows, cost.geometry.ncols)
 
 
+def fields(cost, cells):
+    """``nearest_sources`` rows for ``cells`` scattered onto the grid, inf off water."""
+    dist, src = nearest_sources(cost, cells)
+    assert np.array_equal(src, np.where(np.isinf(dist), -1, np.arange(len(dist))[:, None]))
+    out = np.full((len(dist), cost.geometry.nrows, cost.geometry.ncols), np.inf)
+    out[:, cost.is_water] = dist
+    return out
+
+
+def field(cost, source):
+    return fields(cost, [source])[0]
+
+
 class TestDistanceField:
+    """In-water distances from one source cell (``nearest_sources``, all points)."""
+
     def test_straight_row(self):
-        field = distance_field(water(1, 3), (0, 0))
-        assert np.array_equal(field.distances.values, [[0.0, 60.0, 120.0]])
-        assert field.reachable.all()
+        assert np.array_equal(field(water(1, 3), (0, 0)), [[0.0, 60.0, 120.0]])
 
     def test_open_water_diagonal(self):
-        field = distance_field(water(3, 3), (0, 0))
-        assert field.distances.values[2, 2] == 169.7056274847714
-        assert field.distances.values[1, 1] == pytest.approx(60 * math.sqrt(2), rel=1e-15)
+        vals = field(water(3, 3), (0, 0))
+        assert vals[2, 2] == 169.7056274847714
+        assert vals[1, 1] == pytest.approx(60 * math.sqrt(2), rel=1e-15)
 
     def test_distance_is_polyline_length_on_open_water(self):
-        field = distance_field(water(5, 7), (2, 3))
-        vals = field.distances.values
+        vals = field(water(5, 7), (2, 3))
         # Octile metric on a uniform grid: straight moves cost one cell,
         # diagonals sqrt(2) cells.
         for r in range(5):
@@ -76,85 +92,67 @@ class TestDistanceField:
     def test_detour_around_center_land(self):
         vals = np.ones((3, 3))
         vals[1, 1] = 10000.0
-        field = distance_field(surface(vals), (0, 0))
-        assert field.distances.values[2, 2] == pytest.approx(120 + 60 * math.sqrt(2), rel=1e-12)
-        assert field.reachable.all()
+        cost = surface(vals)
+        got = field(cost, (0, 0))
+        assert got[2, 2] == pytest.approx(120 + 60 * math.sqrt(2), rel=1e-12)
+        assert np.isfinite(got[cost.is_water]).all()
+        assert np.isinf(got[1, 1])
 
     def test_matches_relaxation_oracle_exactly(self):
         vals = np.ones((4, 5))
         vals[0, 2] = vals[1, 2] = vals[3, 1] = 10000.0
         cost = surface(vals)
-        field = distance_field(cost, (1, 0))
-        assert np.array_equal(field.distances.values, relax_field(cost, (1, 0)))
+        assert np.array_equal(field(cost, (1, 0)), relax_field(cost, (1, 0)))
 
     def test_crossing_a_barrier_flags_unreachable(self):
         vals = np.ones((3, 5))
         vals[:, 2] = 10000.0
-        field = distance_field(surface(vals), (1, 0))
-        # Entering and leaving the land column costs 2 * 300030 plus two
-        # water moves.
-        assert field.distances.values[1, 4] == 600180.0
-        assert not field.reachable[1, 4]
-        assert field.reachable[:, :2].all()
-        # The land column's near face is entered but never exited, so it
-        # stays under the cutoff; everything beyond it is flagged.
-        assert not field.reachable[:, 3:].any()
-        assert field.distances.values[1, 1] == 60.0
-
-    def test_threshold_is_land_cost_times_cellsize(self):
-        vals = np.array([[1.0, 10000.0, 1.0]])
-        field = distance_field(surface(vals), (0, 0))
-        # Half a crossing (60 + 300030 m) stays under the 600000 m cutoff;
-        # a full crossing (600060 m) does not.
-        assert field.distances.values[0, 1] == 300030.0
-        assert field.reachable[0, 1]
-        assert field.distances.values[0, 2] == 600060.0
-        assert not field.reachable[0, 2]
+        got = field(surface(vals), (1, 0))
+        # No water route crosses the land column, however cheap the detour.
+        assert np.isfinite(got[:, :2]).all()
+        assert np.isinf(got[:, 2:]).all()
+        assert got[1, 1] == 60.0
 
     def test_corner_cutting_forbidden_between_land_cells(self):
         vals = np.array([[1.0, 10000.0], [10000.0, 1.0]])
-        field = distance_field(surface(vals), (0, 0))
-        # The diagonal is sealed, so the only route runs through land.
-        assert field.distances.values[1, 1] == 600060.0
-        assert not field.reachable[1, 1]
+        # The diagonal is sealed, so no water route reaches the far corner.
+        assert np.isinf(field(surface(vals), (0, 0))[1, 1])
 
     def test_corner_with_one_water_flank_is_open(self):
         vals = np.array([[1.0, 10000.0], [1.0, 1.0]])
-        field = distance_field(surface(vals), (0, 0))
-        assert field.distances.values[1, 1] == pytest.approx(60 * math.sqrt(2), rel=1e-15)
+        got = field(surface(vals), (0, 0))
+        assert got[1, 1] == pytest.approx(60 * math.sqrt(2), rel=1e-15)
 
     def test_nodata_blocks_all_routes(self):
         vals = np.array([[1.0, -9999.0], [-9999.0, 1.0]])
-        field = distance_field(surface(vals), (0, 0))
-        assert field.distances.values[1, 1] == -9999.0
-        assert not field.reachable[1, 1]
-        assert field.reachable[0, 0]
+        got = field(surface(vals), (0, 0))
+        assert np.isinf(got[1, 1])
+        assert got[0, 0] == 0.0
+
+    def test_cheap_land_still_seals(self):
+        # Reachability is water connectivity: land costing barely more than
+        # water blocks as well as land costing 10000 times as much.
+        vals = np.array([[1.0, 1.5, 1.0]])
+        cost = CostSurface(RasterGrid(GridGeometry(3, 1, 0.0, 0.0, CS), vals, -9999.0),
+                           1.0, 1.5)
+        assert np.isinf(field(cost, (0, 0))[0, 2])
 
     def test_source_validation(self):
         cost = water(2, 2)
         with pytest.raises(ValueError):
-            distance_field(cost, (2, 0))
+            nearest_sources(cost, [(2, 0)])
         with pytest.raises(ValueError):
-            distance_field(cost, (0, -1))
-        vals = np.array([[1.0, -9999.0]])
-        with pytest.raises(ValueError, match="nodata"):
-            distance_field(surface(vals), (0, 1))
+            nearest_sources(cost, [(0, -1)])
+        with pytest.raises(ValueError, match="not water"):
+            nearest_sources(surface(np.array([[1.0, -9999.0]])), [(0, 1)])
+        with pytest.raises(ValueError, match="not water"):
+            nearest_sources(surface(np.array([[1.0, 10000.0]])), [(0, 1)])
 
     def test_source_distance_zero_and_reachable(self):
-        field = distance_field(water(3, 3), (1, 2))
-        assert field.distances.values[1, 2] == 0.0
-        assert field.reachable[1, 2]
-        assert field.source == (1, 2)
-
-    def test_precomputed_graph_gives_identical_field(self):
-        vals = np.ones((4, 4))
-        vals[1, 1] = 10000.0
-        cost = surface(vals)
-        g = move_graph(cost)
-        a = distance_field(cost, (0, 0))
-        b = distance_field(cost, (0, 0), graph=g)
-        assert np.array_equal(a.distances.values, b.distances.values)
-        assert np.array_equal(a.reachable, b.reachable)
+        cost = water(3, 3)
+        dist, src = nearest_sources(cost, [(1, 2)])
+        assert dist[0, 5] == 0.0
+        assert (src == 0).all()
 
     def test_random_grids_match_oracle_exactly(self):
         rng = np.random.default_rng(42)
@@ -164,43 +162,35 @@ class TestDistanceField:
             vals = np.where(rng.random((nrows, ncols)) < 0.3, 10000.0, 1.0)
             if rng.random() < 0.5:
                 vals[rng.random((nrows, ncols)) < 0.1] = -9999.0
-            if not (vals != -9999.0).any():
+            if not (vals == 1.0).any():
                 continue
             cost = surface(vals)
-            sources = [
-                (r, c)
-                for r in range(nrows)
-                for c in range(ncols)
-                if vals[r, c] != -9999.0
-            ]
-            fields = fields_for_cells(cost, sources)
-            for src, field in zip(sources, fields):
-                expect = relax_field(cost, src)
-                got = field.distances.values
-                finite = np.isfinite(expect)
-                assert np.array_equal(got[finite], expect[finite])
-                assert np.all(got[~finite] == cost.raster.nodata)
+            sources = [tuple(rc) for rc in np.argwhere(cost.is_water)]
+            for src, got in zip(sources, fields(cost, sources)):
+                assert np.array_equal(got, relax_field(cost, src))
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         vals = np.where(rng.random((6, 6)) < 0.25, 10000.0, 1.0)
+        vals[0, 0] = vals[5, 5] = 1.0  # sources must be water
         cost = surface(vals)
-        ab = distance_field(cost, (0, 0)).distances.values[5, 5]
-        ba = distance_field(cost, (5, 5)).distances.values[0, 0]
+        ab = field(cost, (0, 0))[5, 5]
+        ba = field(cost, (5, 5))[0, 0]
+        assert np.isfinite(ab)
         assert ab == pytest.approx(ba, rel=1e-12)
 
     def test_hardening_a_cell_never_shortens_paths(self):
         rng = np.random.default_rng(3)
         vals = np.where(rng.random((7, 7)) < 0.2, 10000.0, 1.0)
         vals[0, 0] = 1.0
-        before = distance_field(surface(vals), (0, 0)).distances.values.copy()
+        before = field(surface(vals), (0, 0))
         harder = vals.copy()
         water_cells = np.argwhere(harder == 1.0)
         flip = water_cells[rng.choice(len(water_cells), size=5, replace=False)]
         for r, c in flip:
             if (r, c) != (0, 0):
                 harder[r, c] = 10000.0
-        after = distance_field(surface(harder), (0, 0)).distances.values
+        after = field(surface(harder), (0, 0))
         assert np.all(after >= before)
 
 
@@ -231,30 +221,21 @@ class TestMoveGraph:
 
 
 class TestFieldsForCells:
+    """In-water distances from several source cells in one call."""
+
     def test_duplicates_share_results(self):
-        cost = water(3, 3)
-        fields = fields_for_cells(cost, [(0, 0), (2, 2), (0, 0)])
-        assert len(fields) == 3
-        assert fields[0].source == (0, 0)
-        assert np.array_equal(fields[0].distances.values, fields[2].distances.values)
+        got = fields(water(3, 3), [(0, 0), (2, 2), (0, 0)])
+        assert len(got) == 3
+        assert got[0, 0, 0] == 0.0
+        assert np.array_equal(got[0], got[2])
 
     def test_empty_input(self):
-        assert fields_for_cells(water(2, 2), []) == []
-
-    def test_thread_count_does_not_change_results(self):
-        vals = np.ones((8, 8))
-        vals[3, 1:7] = 10000.0
-        cost = surface(vals)
-        cells = [(0, 0), (7, 7), (0, 7), (7, 0), (4, 4)]
-        serial = fields_for_cells(cost, cells, threads=1)
-        parallel = fields_for_cells(cost, cells, threads=4)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.distances.values, b.distances.values)
-            assert np.array_equal(a.reachable, b.reachable)
+        dist, src = nearest_sources(water(2, 2), [])
+        assert dist.shape == src.shape == (0, 4)
 
     def test_validates_every_cell(self):
         with pytest.raises(ValueError):
-            fields_for_cells(water(2, 2), [(0, 0), (5, 5)])
+            nearest_sources(water(2, 2), [(0, 0), (5, 5)])
 
 
 class TestSnapping:
@@ -312,51 +293,22 @@ class TestSnapping:
         assert snap_points(cost, pts) == [(1, 1), (0, 0)]
 
 
-class TestDistancesToPoints:
-    def test_fields_follow_input_order(self):
-        cost = water(3, 3)
-        pts = PointSet(
-            x=np.array([150.0, 30.0]),
-            y=np.array([30.0, 150.0]),
-            values=np.array([1.0, 2.0]),
-        )
-        fields = distances_to_points(cost, pts)
-        assert fields[0].source == (2, 2)
-        assert fields[1].source == (0, 0)
-
-    def test_identical_points_identical_fields(self):
-        cost = water(3, 3)
-        pts = PointSet(
-            x=np.array([30.0, 30.0]),
-            y=np.array([30.0, 30.0]),
-            values=np.array([1.0, 2.0]),
-        )
-        a, b = distances_to_points(cost, pts)
-        assert a.source == b.source
-        assert np.array_equal(a.distances.values, b.distances.values)
-
-
 def dense_reference(cost, pts, config):
-    """IPDW table and raster from full distance fields.
+    """IPDW table and raster from oracle distance fields.
 
-    A water cell counts as reached through water when its full-graph
-    distance is below one land crossing, ``(land_cost + water_cost) *
-    cellsize``; on these small grids every water route is far shorter. The
-    table is selected here: nearest-n with more than n sources keeps each
-    column's n nearest by a stable sort, otherwise rows are the sources in
-    input order. The raster is the shared estimator over that table, whose
-    arithmetic test_interpolate.py checks against ``oracles.shepard_direct``.
+    Each source's in-water distances come from ``oracles.relax_distances``
+    on the grid with land set to nodata. The table is selected here:
+    nearest-n with more than n sources keeps each column's n nearest by a
+    stable sort, otherwise rows are the sources in input order. The raster
+    is the shared estimator over that table, whose arithmetic
+    test_interpolate.py checks against ``oracles.shepard_direct``.
     Returns ((distances, sources), raster values).
     """
     cells, values = snapped_sources(pts, cost=cost)
     water_flat = np.flatnonzero(cost.is_water.ravel())
-    crossing = (cost.land_cost + cost.water_cost) * cost.geometry.cellsize
-    rows = []
-    for field in fields_for_cells(cost, cells):
-        d = field.distances.values.ravel()[water_flat]
-        routed = ~field.distances.is_nodata.ravel()[water_flat] & (d < crossing)
-        rows.append(np.where(routed, d, np.inf))
-    dist = np.array(rows)
+    edges = oracles.grid_edges(land_masked(cost), cost.raster.nodata, cost.water_cost,
+                               cost.geometry.cellsize)
+    dist = np.array([relax_field(cost, cell, edges).ravel()[water_flat] for cell in cells])
     src = np.broadcast_to(np.arange(len(dist))[:, None], dist.shape)
     if config.mode == "within":
         dist = np.where(dist <= config.max_distance, dist, np.inf)

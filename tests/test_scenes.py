@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from pathidw import (
     SCENE_KINDS,
-    distance_field,
     make_scene,
+    nearest_sources,
 )
 from pathidw.scenes import BASE_VALUE, PLUME_PEAK
 
@@ -38,9 +39,11 @@ class TestTwoBasin:
         wall = 40 // 2
         assert cost.is_land[:, wall].all()
         assert np.count_nonzero(cost.is_land) == 40
-        field = distance_field(cost, (20, 0))
-        assert field.reachable[:, :wall].all()
-        assert not field.reachable[:, wall + 1 :].any()
+        dist, _ = nearest_sources(cost, [(20, 0)])
+        reached = np.zeros((40, 40), dtype=bool)
+        reached[cost.is_water] = np.isfinite(dist[0])
+        assert reached[:, :wall].all()
+        assert not reached[:, wall + 1 :].any()
 
     def test_truth_takes_exactly_two_values(self):
         scene = make_scene("two-basin", step=7.5)
@@ -96,6 +99,22 @@ class TestPlume:
         water = scene.cost().is_water
         assert scene.truth.values[water].max() == PLUME_PEAK
         assert scene.truth.values[water].min() == PLUME_PEAK - scene.step
+
+    def test_truth_is_linear_in_in_water_distance(self):
+        scene = make_scene("plume", ncols=24, nrows=20, step=6.0)
+        cost = scene.cost()
+        water = cost.is_water
+        nodata = cost.raster.nodata
+        d = oracles.relax_distances(
+            np.where(water, cost.raster.values, nodata),
+            (20 // 2, 24 // 6),
+            nodata,
+            cost.water_cost,
+            cost.geometry.cellsize,
+        ).reshape(20, 24)[water]
+        assert np.isfinite(d).all()
+        expect = PLUME_PEAK - scene.step * d / d.max()
+        assert np.array_equal(scene.truth.values[water], expect)
 
     def test_value_jump_across_sealed_wall(self):
         scene = make_scene("plume", step=10.0)
