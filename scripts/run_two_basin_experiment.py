@@ -35,7 +35,7 @@ def cli(*args):
         raise SystemExit(f"pathidw {argv[0]} exited with {rc}")
 
 
-def run_scene(scene_dir: Path, seed: int, step: float, noise: float, threads: int):
+def run_scene(scene_dir: Path, seed: int, step: float, noise: float):
     """Drive one survey from synthesis to both cross-validation reports."""
     scene_dir.mkdir(parents=True, exist_ok=True)
     cli("synth", "--scene", "two-basin", "--step", step, "--noise", noise,
@@ -49,8 +49,7 @@ def run_scene(scene_dir: Path, seed: int, step: float, noise: float, threads: in
         "--valid-out", scene_dir / "valid.csv")
     for method in ("ipdw", "idw"):
         cli("interpolate", "--method", method, "--train", scene_dir / "train.csv",
-            "--cost", scene_dir / "cost.asc", "--threads", threads,
-            "--out", scene_dir / f"pred_{method}.asc")
+            "--cost", scene_dir / "cost.asc", "--out", scene_dir / f"pred_{method}.asc")
         cli("crossval", "--pred", scene_dir / f"pred_{method}.asc",
             "--valid", scene_dir / "valid.csv",
             "--out", scene_dir / f"report_{method}.csv")
@@ -65,7 +64,6 @@ def parse_args():
                     help="value offset between the two basins")
     ap.add_argument("--noise", type=float, default=0.5,
                     help="survey noise standard deviation")
-    ap.add_argument("--threads", type=int, default=1)
     return ap.parse_args()
 
 
@@ -75,7 +73,7 @@ def main():
     rows = []
     for seed in range(args.scenes):
         scene_dir = args.out_dir / f"scene_{seed:03d}"
-        run_scene(scene_dir, seed, args.step, args.noise, args.threads)
+        run_scene(scene_dir, seed, args.step, args.noise)
         mae_ipdw = read_error_report(scene_dir / "report_ipdw.csv").mae
         mae_idw = read_error_report(scene_dir / "report_idw.csv").mae
         rows.append((seed, mae_ipdw, mae_idw))

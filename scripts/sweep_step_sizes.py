@@ -32,7 +32,7 @@ def cli(*args):
         raise SystemExit(f"pathidw {argv[0]} exited with {rc}")
 
 
-def run_step(step_dir: Path, seed: int, step: float, noise: float, threads: int):
+def run_step(step_dir: Path, seed: int, step: float, noise: float):
     step_dir.mkdir(parents=True, exist_ok=True)
     cli("synth", "--scene", "two-basin", "--step", step, "--noise", noise,
         "--seed", seed, "--out-dir", step_dir)
@@ -45,8 +45,7 @@ def run_step(step_dir: Path, seed: int, step: float, noise: float, threads: int)
     maes = {}
     for method in ("ipdw", "idw"):
         cli("interpolate", "--method", method, "--train", step_dir / "train.csv",
-            "--cost", step_dir / "cost.asc", "--threads", threads,
-            "--out", step_dir / f"pred_{method}.asc")
+            "--cost", step_dir / "cost.asc", "--out", step_dir / f"pred_{method}.asc")
         cli("crossval", "--pred", step_dir / f"pred_{method}.asc",
             "--valid", step_dir / "valid.csv",
             "--out", step_dir / f"report_{method}.csv")
@@ -62,7 +61,6 @@ def parse_args():
     ap.add_argument("--noise-frac", type=float, default=0.05,
                     help="survey noise as a fraction of the step")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     return ap.parse_args()
 
 
@@ -75,7 +73,7 @@ def main():
     print(f"{'step':>6}  {'mae ipdw':>9}  {'mae idw':>9}  {'gap':>7}")
     for step in steps:
         maes = run_step(args.out_dir / f"step_{step:g}", args.seed, step,
-                        args.noise_frac * step, args.threads)
+                        args.noise_frac * step)
         gap = maes["idw"] - maes["ipdw"]
         print(f"{step:>6g}  {maes['ipdw']:>9.4f}  {maes['idw']:>9.4f}  {gap:>7.4f}")
     elapsed = time.perf_counter() - started

@@ -98,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True, help="cost raster (ASCII grid)")
     p.add_argument("--power", type=float, default=2.0)
     p.add_argument("--neighbors", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; the search runs in one thread")
     p.add_argument("--out", required=True, help="output ASCII grid")
     p.set_defaults(func=_cmd_interpolate)
 
@@ -261,7 +259,7 @@ def _cmd_interpolate(args) -> int:
     cost = _load_cost_surface(args.cost)
     config = InterpConfig(power=args.power, n_nearest=args.neighbors)
     if args.method == "ipdw":
-        pred = interpolate_ipdw(points, cost, config, threads=args.threads)
+        pred = interpolate_ipdw(points, cost, config)
     else:
         pred = interpolate_idw(points, cost.geometry, config, mask=cost)
     write_ascii_grid(pred, args.out)

@@ -290,16 +290,11 @@ def read_error_report(path) -> ErrorReport:
                               line=lineno) from None
     if not rows:
         raise FormatError("error report holds no residual rows", path=str(path))
-    res = np.array([r[3] for r in rows])
     try:
         n_nodata = int(meta.get("n_nodata", 0))
     except ValueError:
         raise FormatError("n_nodata metadata is not an integer", path=str(path)) from None
-    return ErrorReport(tuple(rows),
-                       mae=float(np.mean(np.abs(res))),
-                       rmse=float(np.sqrt(np.mean(res ** 2))),
-                       n_evaluated=len(rows),
-                       n_nodata=n_nodata)
+    return ErrorReport.from_residuals(rows, n_nodata)
 
 
 def write_paired_test(result: PairedTestResult, path, *, metadata: dict | None = None):

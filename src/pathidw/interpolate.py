@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costsurface import CostSurface
-from .errors import ConsistencyError, SnapError
+from .costsurface import DEFAULT_WATER_COST, CostSurface
+from .errors import ConsistencyError
 from .pathdist import DEFAULT_SNAP_RADIUS, nearest_sources, snap_points
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
@@ -117,33 +117,16 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
     return Prediction(float(est[0]), n_used, float(used.min()))
 
 
-def snapped_sources(points: PointSet, *, cost: CostSurface | None = None,
-                    geometry: GridGeometry | None = None,
+def snapped_sources(points: PointSet, *, cost: CostSurface,
                     snap_radius: int = DEFAULT_SNAP_RADIUS
                     ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Snap measurements to cells and average coincident ones.
+    """Snap measurements to water cells and average coincident ones.
 
     Returns unique cells in first-seen order with their averaged values.
-    With a cost surface, points snap to water cells within the snap radius;
-    with bare geometry every in-extent cell is eligible.
     """
     if len(points) == 0:
         raise ValueError("no measurement points supplied")
-    if cost is not None:
-        cells = snap_points(cost, points, radius=snap_radius)
-    else:
-        if geometry is None:
-            raise ValueError("either a cost surface or a geometry is required")
-        cells = []
-        missing = []
-        for i in range(len(points)):
-            cell = geometry.cell_of(float(points.x[i]), float(points.y[i]))
-            if cell is None:
-                missing.append(i)
-            else:
-                cells.append(cell)
-        if missing:
-            raise SnapError([(i, "outside the grid extent") for i in missing])
+    cells = snap_points(cost, points, radius=snap_radius)
 
     grouped: dict[tuple[int, int], list[float]] = {}
     for cell, value in zip(cells, points.values):
@@ -250,22 +233,21 @@ def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConf
 
     A mask only limits where measurements snap and which cells receive
     output (land and nodata become nodata); it never alters distances.
+    Without one, every cell of ``geometry`` counts as water.
     """
-    if mask is not None:
-        if mask.geometry != geometry:
-            raise ValueError("mask geometry differs from the requested output geometry")
-        cells, values = snapped_sources(points, cost=mask, snap_radius=snap_radius)
-        target_flat = np.flatnonzero(mask.is_water.ravel())
-    else:
-        cells, values = snapped_sources(points, geometry=geometry, snap_radius=snap_radius)
-        target_flat = np.arange(geometry.n_cells)
+    if mask is None:
+        mask = CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
+    elif mask.geometry != geometry:
+        raise ValueError("mask geometry differs from the requested output geometry")
+    cells, values = snapped_sources(points, cost=mask, snap_radius=snap_radius)
+    target_flat = np.flatnonzero(mask.is_water.ravel())
 
-    centers = np.array([geometry.center_of(r, c) for r, c in cells])
+    rows, cols = np.array(cells).T
     cx, cy = geometry.cell_centers()
     tx = cx.ravel()[target_flat]
     ty = cy.ravel()[target_flat]
-    dist = np.hypot(tx[None, :] - centers[:, 0][:, None],
-                    ty[None, :] - centers[:, 1][:, None])
+    dist = np.hypot(tx[None, :] - cx[rows, cols][:, None],
+                    ty[None, :] - cy[rows, cols][:, None])
 
     est, has = _estimate(*_select(dist, values, config), config)
     out = np.full(geometry.n_cells, nodata)

@@ -204,48 +204,53 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
 
 def snap_to_water(cost: CostSurface, x: float, y: float, *,
                   radius: int = DEFAULT_SNAP_RADIUS) -> tuple[int, int] | None:
-    """Snap a point to a water cell, or None when no candidate exists.
+    """Snap one point to a water cell, or None when no candidate exists.
 
     A point already on a water cell stays there. A point on a land or nodata
     cell moves to the water cell within ``radius`` cells (Chebyshev window)
     whose center is nearest the point; ties go to the first candidate in
     row-major scan order. Points outside the grid extent never snap.
     """
-    geom = cost.geometry
-    cell = geom.cell_of(x, y)
-    if cell is None:
-        return None
-    water = cost.is_water
-    if water[cell]:
-        return cell
-    r0, c0 = cell
-    best = None
-    best_d2 = math.inf
-    for r in range(max(0, r0 - radius), min(geom.nrows, r0 + radius + 1)):
-        for c in range(max(0, c0 - radius), min(geom.ncols, c0 + radius + 1)):
-            if not water[r, c]:
-                continue
-            cx, cy = geom.center_of(r, c)
-            d2 = (x - cx) ** 2 + (y - cy) ** 2
-            if d2 < best_d2:
-                best, best_d2 = (r, c), d2
-    return best
+    rows, cols, _ = _snap(cost, np.array([x]), np.array([y]), radius)
+    return None if rows[0] < 0 else (int(rows[0]), int(cols[0]))
 
 
 def snap_points(cost: CostSurface, points: PointSet, *,
                 radius: int = DEFAULT_SNAP_RADIUS) -> list[tuple[int, int]]:
-    """Snap every point, raising one SnapError listing all failures."""
-    cells, failures = [], []
-    for i in range(len(points)):
-        x, y = float(points.x[i]), float(points.y[i])
-        cell = snap_to_water(cost, x, y, radius=radius)
-        if cell is None:
-            if cost.geometry.cell_of(x, y) is None:
-                failures.append((i, "outside the grid extent"))
-            else:
-                failures.append((i, f"no water cell within {radius} cells"))
-        else:
-            cells.append(cell)
-    if failures:
-        raise SnapError(failures)
-    return cells
+    """Snap every point as ``snap_to_water`` does; one SnapError lists all failures."""
+    rows, cols, inside = _snap(cost, points.x, points.y, radius)
+    failed = np.flatnonzero(rows < 0)
+    if len(failed):
+        raise SnapError([(int(i), f"no water cell within {radius} cells" if inside[i]
+                          else "outside the grid extent") for i in failed])
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _snap(cost: CostSurface, x: np.ndarray, y: np.ndarray, radius: int):
+    """Snap points as ``snap_to_water`` describes, reading the water mask once.
+
+    Returns (rows, cols, inside): the snapped cells, -1 where a point does
+    not snap, and whether each point lies in the grid.
+    """
+    geom = cost.geometry
+    water = cost.is_water
+    rows, cols = geom.cells_of(x, y)
+    inside = rows >= 0
+    keep = inside & water[rows, cols]
+    off = np.flatnonzero(inside & ~keep)
+    snapped_rows, snapped_cols = np.where(keep, rows, -1), np.where(keep, cols, -1)
+    if len(off) and radius >= 0:
+        # one row per off-water point: its window's cells in row-major scan order
+        step = np.arange(-radius, radius + 1)
+        r = rows[off, None] + np.repeat(step, len(step))
+        c = cols[off, None] + np.tile(step, len(step))
+        ok = np.pad(water, radius)[r + radius, c + radius]
+        cx = geom.xll + (c + 0.5) * geom.cellsize
+        cy = geom.yll + (geom.nrows - r - 0.5) * geom.cellsize
+        d2 = np.where(ok, (x[off, None] - cx) ** 2 + (y[off, None] - cy) ** 2, np.inf)
+        # argmin keeps the first minimum, so ties go to the earliest in the scan
+        pick = np.arange(len(off)), d2.argmin(axis=1)
+        found = ok[pick]
+        snapped_rows[off[found]] = r[pick][found]
+        snapped_cols[off[found]] = c[pick][found]
+    return snapped_rows, snapped_cols, inside

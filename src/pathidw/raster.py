@@ -68,17 +68,27 @@ class GridGeometry:
     def n_cells(self) -> int:
         return self.ncols * self.nrows
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
-        """Return the (row, col) of the cell owning point (x, y), or None.
+    def cells_of(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Return (rows, cols) arrays of the cells owning points (x, y).
 
         Ownership is half-open, so points on the left/bottom edge of a cell
         belong to it and points on the grid's right/top boundary are outside.
+        Both arrays hold -1 for points outside the grid; as an index, -1
+        reads the last cell, so callers mask lookups with ``rows >= 0``.
         """
-        col = math.floor((x - self.xll) / self.cellsize)
-        row_up = math.floor((y - self.yll) / self.cellsize)
-        if col < 0 or col >= self.ncols or row_up < 0 or row_up >= self.nrows:
+        col = np.floor((np.asarray(x, dtype=np.float64) - self.xll) / self.cellsize)
+        row_up = np.floor((np.asarray(y, dtype=np.float64) - self.yll) / self.cellsize)
+        inside = (col >= 0) & (col < self.ncols) & (row_up >= 0) & (row_up < self.nrows)
+        rows = np.where(inside, self.nrows - 1 - row_up, -1).astype(np.int64)
+        cols = np.where(inside, col, -1).astype(np.int64)
+        return rows, cols
+
+    def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
+        """Return the (row, col) of the cell owning point (x, y), or None."""
+        row, col = self.cells_of(x, y)
+        if row < 0:
             return None
-        return self.nrows - 1 - row_up, col
+        return int(row), int(col)
 
     def center_of(self, row: int, col: int) -> tuple[float, float]:
         """Return the center coordinates of cell (row, col)."""

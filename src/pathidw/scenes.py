@@ -69,6 +69,9 @@ def make_scene(kind: str, *, ncols: int = 100, nrows: int = 100,
         raise ValueError(f"step must be positive, got {step}")
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
+    if kind == "plume" and ncols < 2:
+        # the source column would be the wall column
+        raise ValueError(f"scene 'plume' needs at least 2 columns, got ncols={ncols}")
     geom = GridGeometry(ncols, nrows, xll, yll, cellsize)
 
     if kind == "two-basin":
@@ -155,15 +158,8 @@ def _sample_track(geom: GridGeometry, water: np.ndarray, truth: RasterGrid,
     x_all = np.concatenate(xs)
     y_all = np.concatenate(ys)
 
-    keep_x, keep_y, cells = [], [], []
-    for x, y in zip(x_all, y_all):
-        cell = geom.cell_of(float(x), float(y))
-        if cell is None or not water[cell]:
-            continue
-        keep_x.append(float(x))
-        keep_y.append(float(y))
-        cells.append(cell)
-
-    base = np.array([truth.values[c] for c in cells])
+    rows, cols = geom.cells_of(x_all, y_all)
+    keep = (rows >= 0) & water[rows, cols]
+    base = truth.values[rows[keep], cols[keep]]
     eps = rng.standard_normal(len(base))
-    return PointSet(np.array(keep_x), np.array(keep_y), base + noise_sd * eps)
+    return PointSet(x_all[keep], y_all[keep], base + noise_sd * eps)

@@ -47,6 +47,15 @@ class ErrorReport:
     n_evaluated: int
     n_nodata: int
 
+    @classmethod
+    def from_residuals(cls, rows, n_nodata: int) -> "ErrorReport":
+        """Report over residual rows, with MAE and RMSE computed from them."""
+        rows = tuple(rows)
+        res = np.array([r[3] for r in rows])
+        return cls(rows, mae=float(np.mean(np.abs(res))),
+                   rmse=float(np.sqrt(np.mean(res ** 2))),
+                   n_evaluated=len(rows), n_nodata=n_nodata)
+
     def observed_range(self) -> float:
         obs = [r[1] for r in self.residuals]
         return max(obs) - min(obs)
@@ -129,28 +138,15 @@ def cross_validate(predicted: RasterGrid, validation: PointSet) -> ErrorReport:
     metrics and counted in ``n_nodata``. Raises ValueError when nothing is
     evaluable.
     """
-    geom = predicted.geometry
-    rows = []
-    n_nodata = 0
-    for i in range(len(validation)):
-        cell = geom.cell_of(float(validation.x[i]), float(validation.y[i]))
-        if cell is None:
-            n_nodata += 1
-            continue
-        pred = float(predicted.values[cell])
-        if pred == predicted.nodata:
-            n_nodata += 1
-            continue
-        obs = float(validation.values[i])
-        rows.append((i, obs, pred, pred - obs))
-    if not rows:
+    rows, cols = predicted.geometry.cells_of(validation.x, validation.y)
+    pred = predicted.values[rows, cols]
+    evaluable = np.flatnonzero((rows >= 0) & (pred != predicted.nodata))
+    if not len(evaluable):
         raise ValueError("no evaluable validation points (all nodata or out of extent)")
-    res = np.array([r[3] for r in rows])
-    return ErrorReport(tuple(rows),
-                       mae=float(np.mean(np.abs(res))),
-                       rmse=float(np.sqrt(np.mean(res ** 2))),
-                       n_evaluated=len(rows),
-                       n_nodata=n_nodata)
+    obs = validation.values[evaluable]
+    pred = pred[evaluable]
+    residuals = zip(evaluable.tolist(), obs.tolist(), pred.tolist(), (pred - obs).tolist())
+    return ErrorReport.from_residuals(residuals, len(validation) - len(evaluable))
 
 
 def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:

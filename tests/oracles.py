@@ -206,3 +206,32 @@ def all_subset_rank_sums(ranks):
         for combo in combinations(idx, k):
             sums.append(sum(ranks[i] for i in combo))
     return sums
+
+
+def snap_window(water, xll, yll, cellsize, x, y, radius):
+    """Snap one point by a scalar scan of its (2r+1)**2 window.
+
+    ``water`` is a 2-d boolean mask with row 0 at the top. Returns the
+    (row, col) of the snapped cell, or None when the point is outside the
+    grid or no water cell lies in the window. Ties go to the first cell in
+    row-major scan order.
+    """
+    nrows, ncols = water.shape
+    col = math.floor((x - xll) / cellsize)
+    row_up = math.floor((y - yll) / cellsize)
+    if not (0 <= col < ncols and 0 <= row_up < nrows):
+        return None
+    r0, c0 = nrows - 1 - row_up, col
+    if water[r0, c0]:
+        return r0, c0
+    best, best_d2 = None, math.inf
+    for r in range(max(0, r0 - radius), min(nrows, r0 + radius + 1)):
+        for c in range(max(0, c0 - radius), min(ncols, c0 + radius + 1)):
+            if not water[r, c]:
+                continue
+            cx = xll + (c + 0.5) * cellsize
+            cy = yll + (nrows - r - 0.5) * cellsize
+            d2 = (x - cx) ** 2 + (y - cy) ** 2
+            if d2 < best_d2:
+                best, best_d2 = (r, c), d2
+    return best

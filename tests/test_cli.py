@@ -25,7 +25,7 @@ def write_scene_inputs(tmp_path, *, scene="two-basin", seed=1, step=10.0, noise=
     return out
 
 
-def run_pipeline(tmp_path, *, seed=1, threads=1, ncols=40, nrows=40):
+def run_pipeline(tmp_path, *, seed=1, ncols=40, nrows=40):
     """synth -> costraster -> split -> interpolate x2 -> crossval x2."""
     scene_dir = write_scene_inputs(tmp_path, seed=seed, ncols=ncols, nrows=nrows)
     extent = f"0,0,{ncols * 60},{nrows * 60}"
@@ -45,7 +45,7 @@ def run_pipeline(tmp_path, *, seed=1, threads=1, ncols=40, nrows=40):
         pred = tmp_path / f"pred_{method}.asc"
         assert main([
             "interpolate", "--method", method, "--train", str(train),
-            "--cost", str(cost), "--threads", str(threads), "--out", str(pred),
+            "--cost", str(cost), "--out", str(pred),
         ]) == 0
         report = tmp_path / f"report_{method}.csv"
         assert main([
@@ -164,17 +164,15 @@ class TestInterpolateAndCrossval:
         assert report.n_evaluated > 100
         assert report.n_nodata == 0
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        r1 = run_pipeline(tmp_path / "a", seed=3, threads=1)
-        r8 = run_pipeline(tmp_path / "b", seed=3, threads=8)
-        pred1 = (tmp_path / "a" / "pred_ipdw.asc").read_bytes()
-        pred8 = (tmp_path / "b" / "pred_ipdw.asc").read_bytes()
-        assert pred1 == pred8
-        # Report preambles embed input paths, so compare parsed content.
-        assert (
-            read_error_report(r1["ipdw"]).residuals
-            == read_error_report(r8["ipdw"]).residuals
-        )
+    def test_rerun_gives_identical_bytes(self, tmp_path):
+        r1 = run_pipeline(tmp_path / "a", seed=3)
+        r2 = run_pipeline(tmp_path / "b", seed=3)
+        for method in ("ipdw", "idw"):
+            pred = f"pred_{method}.asc"
+            assert (tmp_path / "a" / pred).read_bytes() == (tmp_path / "b" / pred).read_bytes()
+            # Report preambles embed input paths, so compare parsed content.
+            assert (read_error_report(r1[method]).residuals
+                    == read_error_report(r2[method]).residuals)
 
     def test_single_power_flag_serves_both_methods(self):
         parser = cli._build_parser()

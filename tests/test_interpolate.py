@@ -13,6 +13,7 @@ from pathidw import (
     InterpConfig,
     PointSet,
     RasterGrid,
+    SnapError,
     idw_estimate,
     interpolate_idw,
     interpolate_ipdw,
@@ -186,10 +187,16 @@ class TestSnappedSources:
             snapped_sources(empty, cost=cost)
 
     def test_geometry_only_mode(self):
+        # unmasked IDW snaps every in-extent point to its own cell
         geom = GridGeometry(ncols=2, nrows=2, xll=0.0, yll=0.0, cellsize=60.0)
-        cells, values = snapped_sources(points([[30, 30, 1.0]]), geometry=geom)
-        assert cells == [(1, 0)]
-        assert values[0] == 1.0
+        pts = points([[30, 30, 1.0], [0, 60, 3.0], [119, 119, 5.0], [110, 100, 7.0], [60, 0, 4.0]])
+        out = interpolate_idw(pts, geom, InterpConfig.nearest(1))
+        assert np.array_equal(out.values, [[3.0, 6.0], [1.0, 4.0]])
+        outside = points([[30, 30, 1.0], [120, 30, 2.0], [30, -1, 3.0]])
+        with pytest.raises(SnapError) as err:
+            interpolate_idw(outside, geom, InterpConfig.nearest(1))
+        assert err.value.failures == [(1, "outside the grid extent"),
+                                      (2, "outside the grid extent")]
 
 
 class TestInterpolateIpdw:

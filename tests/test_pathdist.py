@@ -292,6 +292,66 @@ class TestSnapping:
         )
         assert snap_points(cost, pts) == [(1, 1), (0, 0)]
 
+    def test_snap_points_matches_window_scan(self):
+        rng = np.random.default_rng(11)
+        for case in range(150):
+            nrows, ncols = rng.integers(1, 9, size=2)
+            cs = float(rng.choice([1.0, 0.3, 7.0, 60.0]))
+            xll, yll = rng.choice([0.0, -1000.5, 123.25], size=2)
+            vals = np.where(rng.random((nrows, ncols)) < rng.uniform(0.1, 0.7), 1.0, 10000.0)
+            vals[rng.random((nrows, ncols)) < 0.1] = -9999.0
+            geom = GridGeometry(ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cs)
+            cost = CostSurface(RasterGrid(geom, vals, -9999.0))
+            # uniform, on cell edges and corners (the extent's right and top
+            # lines included), on centers and half-cell offsets (equidistant
+            # ties), and outside the extent
+            n = 40
+            lines_x = xll + rng.integers(0, ncols + 1, n) * cs
+            lines_y = yll + rng.integers(0, nrows + 1, n) * cs
+            half_x = xll + rng.integers(0, 2 * ncols, n) * (cs / 2)
+            half_y = yll + rng.integers(0, 2 * nrows, n) * (cs / 2)
+            x = np.concatenate([xll + rng.uniform(-0.2, 1.2, n) * geom.width,
+                                lines_x, lines_x, half_x, half_x])
+            y = np.concatenate([yll + rng.uniform(-0.2, 1.2, n) * geom.height,
+                                yll + rng.uniform(0, 1, n) * geom.height, lines_y,
+                                half_y, yll + rng.uniform(0, 1, n) * geom.height])
+            radius = case % 5
+            expected = [oracles.snap_window(cost.is_water, xll, yll, cs, xi, yi, radius)
+                        for xi, yi in zip(x.tolist(), y.tolist())]
+            assert [snap_to_water(cost, xi, yi, radius=radius)
+                    for xi, yi in zip(x.tolist(), y.tolist())] == expected
+            pts = PointSet(x, y, np.zeros(len(x)))
+            if all(cell is not None for cell in expected):
+                assert snap_points(cost, pts, radius=radius) == expected
+                continue
+            with pytest.raises(SnapError) as err:
+                snap_points(cost, pts, radius=radius)
+            assert err.value.failures == [
+                (i, "outside the grid extent" if geom.cell_of(xi, yi) is None
+                 else f"no water cell within {radius} cells")
+                for i, (xi, yi, cell) in enumerate(zip(x, y, expected)) if cell is None]
+
+    def test_water_mask_is_read_once_per_call(self, monkeypatch):
+        calls = []
+        is_water = CostSurface.is_water
+
+        def counted(cost):
+            calls.append(1)
+            return is_water.fget(cost)
+
+        monkeypatch.setattr(CostSurface, "is_water", property(counted))
+        vals = np.ones((20, 20))
+        vals[7:13, 7:13] = 10000.0
+        cost = surface(vals)
+        counts = []
+        for n in (1, 10, 200):
+            rng = np.random.default_rng(n)
+            pts = PointSet(rng.uniform(0, 1200, n), rng.uniform(0, 1200, n), np.zeros(n))
+            calls.clear()
+            snap_points(cost, pts, radius=4)
+            counts.append(len(calls))
+        assert counts == [1, 1, 1]
+
 
 def dense_reference(cost, pts, config):
     """IPDW table and raster from oracle distance fields.

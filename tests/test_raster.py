@@ -31,6 +31,18 @@ class TestGridGeometry:
         assert geom.cell_of(30.0, 120.0) is None
         assert geom.cell_of(119.999, 119.999) == (0, 1)
 
+    def test_cells_of_edges_and_outside(self):
+        geom = GridGeometry(ncols=3, nrows=2, xll=-30.0, yll=10.0, cellsize=20.0)
+        # left and bottom edges belong to the cell; the extent's right
+        # (x = 30) and top (y = 50) lines and anything beyond are outside
+        x = np.array([-30.0, -10.0, 29.999, 30.0, -30.0, 0.0, -30.1, 0.0, 0.0, 1e300])
+        y = np.array([10.0, 30.0, 49.999, 20.0, 50.0, 9.99, 20.0, 30.0, -1e300, 20.0])
+        rows, cols = geom.cells_of(x, y)
+        assert rows.tolist() == [1, 0, 0, -1, -1, -1, -1, 0, -1, -1]
+        assert cols.tolist() == [0, 1, 2, -1, -1, -1, -1, 1, -1, -1]
+        assert [geom.cell_of(a, b) for a, b in zip(x, y)] == [
+            None if r < 0 else (r, c) for r, c in zip(rows.tolist(), cols.tolist())]
+
     def test_center_of_known_cells(self):
         geom = GridGeometry(ncols=3, nrows=3, xll=0.0, yll=0.0, cellsize=10.0)
         assert geom.center_of(0, 0) == (5.0, 25.0)

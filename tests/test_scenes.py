@@ -22,6 +22,13 @@ class TestMakeScene:
         with pytest.raises(ValueError):
             make_scene("gradient", noise_sd=-0.1)
 
+    @pytest.mark.parametrize("nrows", [1, 10])
+    def test_plume_needs_two_columns(self, nrows):
+        with pytest.raises(ValueError, match="plume.*ncols=1"):
+            make_scene("plume", ncols=1, nrows=nrows)
+        scene = make_scene("plume", ncols=2, nrows=10)
+        assert scene.geometry.ncols == 2
+
     def test_geometry_and_cost_helpers(self):
         scene = make_scene("two-basin", ncols=40, nrows=30, cellsize=50.0)
         assert scene.geometry.ncols == 40
