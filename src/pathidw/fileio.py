@@ -111,7 +111,16 @@ def read_points(path) -> tuple[PointSet, int]:
 # ---------------------------------------------------------------------------
 
 def write_ascii_grid(raster: RasterGrid, path, *, decimals: int = 6):
+    """Write every value at ``decimals`` places; ValueError if that loses the nodata mask."""
     g = raster.geometry
+    cell, nodata, values = f"%.{decimals}f", raster.nodata, raster.values
+    # text at d places reads back within 10**-d of its value, so only values
+    # this close can turn into the sentinel or the sentinel into data
+    near = np.unique(values[np.abs(values - nodata) <= 2.0 * 10.0 ** -decimals])
+    if any((float(cell % v) == nodata) != (v == nodata) for v in near.tolist()):
+        raise ValueError(f"{decimals} decimals would not keep the nodata mask "
+                         f"(sentinel {nodata!r})")
+    row_format = " ".join([cell] * g.ncols) + "\n"
     with open(path, "w") as f:
         f.write(f"ncols {g.ncols}\n")
         f.write(f"nrows {g.nrows}\n")
@@ -119,8 +128,8 @@ def write_ascii_grid(raster: RasterGrid, path, *, decimals: int = 6):
         f.write(f"yllcorner {_fmt(g.yll)}\n")
         f.write(f"cellsize {_fmt(g.cellsize)}\n")
         f.write(f"NODATA_value {_fmt(raster.nodata)}\n")
-        for row in raster.values:
-            f.write(" ".join(f"{v:.{decimals}f}" for v in row) + "\n")
+        for row in values.tolist():
+            f.write(row_format % tuple(row))
 
 
 def read_ascii_grid(path) -> RasterGrid:

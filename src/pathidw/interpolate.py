@@ -10,14 +10,14 @@ separate neighborhoods, while ``interpolate_idw`` uses straight-line
 distances that ignore barriers. Both share one ``InterpConfig``, so power
 and neighborhood settings cannot diverge between methods being compared.
 
-Both interpolators fill a neighbor table, a (rows, targets) array of
-distances and values, and hand it to one estimator: IPDW from the bounded
-path search ``pathdist.nearest_sources``, IDW by selecting from a dense
-straight-line distance matrix. In nearest-n mode with more than n sources
-each column holds the n nearest ordered by (distance, source order);
-otherwise the rows are the sources in input order. The estimator sums in
-row order, so both fillers give the same bits. ``idw_estimate`` is that
-estimator on a single column, so the clamp and the tie rule exist once.
+Both interpolators run one pipeline, snap -> neighbor table -> estimate,
+and differ only in the engine that fills the (rows, targets) table: IPDW
+the path search ``pathdist.nearest_sources``, IDW straight-line blocks
+merged by the same top-k table (``pathdist.neighbor_table``). In nearest-n
+mode with more than n sources each column holds the n nearest ordered by
+(distance, source order); otherwise the rows are the sources in input
+order. ``idw_estimate`` is one column of the same table and estimator, so
+the clamp and the tie rule exist once.
 
 Measurement points are snapped to water-cell centers before estimation and
 points landing on the same cell are averaged, for both methods alike; a
@@ -33,7 +33,8 @@ import numpy as np
 
 from .costsurface import DEFAULT_WATER_COST, CostSurface
 from .errors import ConsistencyError
-from .pathdist import DEFAULT_SNAP_RADIUS, nearest_sources, snap_points
+from .pathdist import (DEFAULT_SNAP_RADIUS, nearest_sources, neighbor_table, require_count,
+                       snap_points)
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 
@@ -58,8 +59,8 @@ class InterpConfig:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.n_nearest is not None and self.max_distance is not None:
             raise ValueError("choose one neighborhood mode: nearest-n or max-distance")
-        if self.n_nearest is not None and self.n_nearest < 1:
-            raise ValueError(f"n_nearest must be a positive integer, got {self.n_nearest}")
+        if self.n_nearest is not None:
+            require_count("n_nearest", self.n_nearest)
         if self.max_distance is not None and not self.max_distance > 0:
             raise ValueError(f"max_distance must be positive, got {self.max_distance}")
 
@@ -106,13 +107,13 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
         raise ValueError("neighbor distances must be non-negative")
     if not pairs:
         return None
-    d = np.array([p[0] for p in pairs])[:, None]
-    v = np.array([p[1] for p in pairs])
-    dsel, vsel = _select(d, v, config)
-    est, has = _estimate(dsel, vsel, config)
+    d, v = np.array(pairs).T
+    dist, src = neighbor_table(lambda part: d[part, None], len(d), 1, k=config.n_nearest,
+                               max_distance=config.max_distance)
+    est, has = _estimate(dist, v[src], config)
     if not has[0]:
         return None
-    used = dsel[np.isfinite(dsel)]
+    used = dist[np.isfinite(dist)]
     n_used = int((used == 0.0).sum()) or len(used)
     return Prediction(float(est[0]), n_used, float(used.min()))
 
@@ -134,23 +135,6 @@ def snapped_sources(points: PointSet, *, cost: CostSurface,
     unique = list(grouped)
     means = np.array([np.mean(grouped[cell]) for cell in unique])
     return unique, means
-
-
-def _select(dist: np.ndarray, values: np.ndarray,
-            config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor table from a dense (n_sources, n_targets) distance matrix.
-
-    inf marks excluded pairs. Returns the table's distances and values.
-    Rows stay in source order, except in nearest-n mode with more than n
-    sources, where each column keeps its n nearest ordered by (distance,
-    source index).
-    """
-    if config.mode == "within":
-        dist = np.where(dist <= config.max_distance, dist, np.inf)
-    if config.mode == "nearest" and len(dist) > config.n_nearest:
-        order = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
-        return np.take_along_axis(dist, order, axis=0), values[order]
-    return dist, np.broadcast_to(values[:, None], dist.shape)
 
 
 def _estimate(dist: np.ndarray, vals: np.ndarray,
@@ -213,16 +197,7 @@ def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, 
     reachable source, come back as nodata. ``threads`` is accepted for
     compatibility; the search runs in the calling thread.
     """
-    cells, values = snapped_sources(points, cost=cost, snap_radius=snap_radius)
-    dist, src = nearest_sources(cost, cells, k=config.n_nearest,
-                                max_distance=config.max_distance)
-    # empty slots (src -1) carry inf distances, so their values go unused
-    est, has = _estimate(dist, values[src], config)
-    geom = cost.geometry
-    water_flat = np.flatnonzero(cost.is_water.ravel())
-    out = np.full(geom.n_cells, nodata)
-    out[water_flat[has]] = est[has]
-    return RasterGrid(geom, out.reshape(geom.nrows, geom.ncols), nodata)
+    return _interpolate(nearest_sources, points, cost, config, snap_radius, nodata)
 
 
 def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConfig, *,
@@ -239,17 +214,30 @@ def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConf
         mask = CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
     elif mask.geometry != geometry:
         raise ValueError("mask geometry differs from the requested output geometry")
-    cells, values = snapped_sources(points, cost=mask, snap_radius=snap_radius)
-    target_flat = np.flatnonzero(mask.is_water.ravel())
+    return _interpolate(_straight_line_sources, points, mask, config, snap_radius, nodata)
 
+
+def _straight_line_sources(cost: CostSurface, cells, *, k: int | None = None,
+                           max_distance: float | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest_sources``'s table over straight-line distances between cell centers."""
     rows, cols = np.array(cells).T
-    cx, cy = geometry.cell_centers()
-    tx = cx.ravel()[target_flat]
-    ty = cy.ravel()[target_flat]
-    dist = np.hypot(tx[None, :] - cx[rows, cols][:, None],
-                    ty[None, :] - cy[rows, cols][:, None])
+    cx, cy = cost.geometry.cell_centers()
+    water = cost.is_water
+    tx, ty = cx[water], cy[water]
+    sx, sy = cx[rows, cols][:, None], cy[rows, cols][:, None]
+    return neighbor_table(lambda part: np.hypot(tx - sx[part], ty - sy[part]),
+                          len(cells), len(tx), k=k, max_distance=max_distance)
 
-    est, has = _estimate(*_select(dist, values, config), config)
-    out = np.full(geometry.n_cells, nodata)
-    out[target_flat[has]] = est[has]
-    return RasterGrid(geometry, out.reshape(geometry.nrows, geometry.ncols), nodata)
+
+def _interpolate(engine, points: PointSet, cost: CostSurface, config: InterpConfig,
+                 snap_radius: int, nodata: float) -> RasterGrid:
+    """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
+    cells, values = snapped_sources(points, cost=cost, snap_radius=snap_radius)
+    dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
+    # empty slots (src -1) carry inf distances, so their values go unused
+    est, has = _estimate(dist, values[src], config)
+    geom = cost.geometry
+    out = np.full(geom.n_cells, nodata)
+    out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]
+    return RasterGrid(geom, out.reshape(geom.nrows, geom.ncols), nodata)

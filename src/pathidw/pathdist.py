@@ -21,6 +21,7 @@ short of neighbors.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy import sparse
@@ -92,15 +93,16 @@ class _NeighborTable:
     """Running per-target table of the k nearest labels, merged chunk by chunk.
 
     ``dist`` and ``src`` are (k, n_targets); an empty slot holds an inf
-    distance. Each column is ordered by (distance, source index).
+    distance, and ``result`` gives it source -1. Each column is ordered by
+    (distance, source index).
     """
 
     def __init__(self, n_targets: int, k: int):
         self.dist = np.full((k, n_targets), np.inf)
         self.src = np.full((k, n_targets), -1)
 
-    def search(self, graph, nodes, ids, columns, limit=np.inf):
-        """Dijkstra from sources ``ids`` (ascending) into the ``columns`` targets.
+    def search(self, blocks, ids, columns):
+        """Merge ``blocks(part)``, the distances from ``_CHUNK`` sources ``ids`` at a time.
 
         Stable sorting keeps ties in source order because the table holds
         only labels of earlier sources in every column it merges into: the
@@ -109,7 +111,7 @@ class _NeighborTable:
         """
         for lo in range(0, len(ids), _CHUNK):
             part = ids[lo:lo + _CHUNK]
-            block = csgraph.dijkstra(graph, directed=True, indices=nodes[part], limit=limit)
+            block = blocks(part)
             # a label must beat the column's k-th: a tie loses to the earlier
             # source already there
             cols = np.flatnonzero(columns & (block.min(axis=0) < self.dist[-1]))
@@ -121,9 +123,39 @@ class _NeighborTable:
             self.dist[:, cols] = np.take_along_axis(d, order, axis=0)
             self.src[:, cols] = np.take_along_axis(s, order, axis=0)
 
-    def clear(self, columns):
-        self.dist[:, columns] = np.inf
-        self.src[:, columns] = -1
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dist, src)``, with -1 in every empty slot."""
+        self.src[np.isinf(self.dist)] = -1
+        return self.dist, self.src
+
+
+def neighbor_table(blocks, n_sources: int, n_targets: int, *, k: int | None = None,
+                   max_distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Table ``(distances, sources)`` from ``blocks(ids)``, the distances from sources ``ids``.
+
+    With ``k`` below ``n_sources``, column t holds target t's k nearest by
+    (distance, source index), merged block by block. Otherwise row i is
+    source i, cleared beyond ``max_distance``. Empty slots hold inf and -1.
+    """
+    if k is not None and k < n_sources:
+        table = _NeighborTable(n_targets, k)
+        table.search(blocks, np.arange(n_sources), np.ones(n_targets, dtype=bool))
+        return table.result()
+    dist = blocks(np.arange(n_sources))
+    if max_distance is not None:
+        dist = np.where(dist <= max_distance, dist, np.inf)
+    return dist, np.where(np.isinf(dist), -1, np.arange(n_sources)[:, None])
+
+
+def require_count(name: str, k) -> None:
+    """Reject a neighbor count that is not a positive integer (bools included)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"{name} must be a positive integer, got {k!r}")
+
+
+def _path_blocks(graph, nodes, limit=np.inf):
+    """Block function for ``_NeighborTable.search``: Dijkstra from ``nodes[part]``."""
+    return lambda part: csgraph.dijkstra(graph, directed=True, indices=nodes[part], limit=limit)
 
 
 def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
@@ -151,8 +183,8 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     """
     if k is not None and max_distance is not None:
         raise ValueError("choose one of k and max_distance")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if k is not None:
+        require_count("k", k)
     geom = cost.geometry
     water = cost.is_water
     cells = [tuple(c) for c in cells]
@@ -165,8 +197,7 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     if k is not None and k < len(nodes):
         return _search_nearest(graph, nodes, k, cost, water_flat)
     limit = np.inf if max_distance is None else max_distance
-    dist = csgraph.dijkstra(graph, directed=True, indices=nodes, limit=limit)
-    return dist, np.where(np.isinf(dist), -1, np.arange(len(nodes))[:, None])
+    return neighbor_table(_path_blocks(graph, nodes, limit), len(nodes), len(water_flat))
 
 
 def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
@@ -182,7 +213,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     radius = 2.0 * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
     disc_cells = 4.0 * k * n_water / n_src
     whole = (per_comp <= k) | (comp_cells <= 2.0 * disc_cells)
-    table.search(graph, nodes, np.flatnonzero(whole[src_comp]), whole[comp])
+    table.search(_path_blocks(graph, nodes), np.flatnonzero(whole[src_comp]), whole[comp])
 
     # Every component left holds more than k sources, so the loop ends once
     # the radius spans it. All candidates sit on pending cells at first.
@@ -191,15 +222,14 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     candidates = active = np.flatnonzero(~whole[src_comp])
     pending = ~whole[comp]
     while pending.any():
-        table.search(graph, nodes, active, pending, limit=radius)
+        table.search(_path_blocks(graph, nodes, radius), active, pending)
         pending &= np.isinf(table.dist[-1])
-        table.clear(pending)
+        table.dist[:, pending] = np.inf
         radius *= _GROWTH
         if pending.any():
             near, _ = cKDTree(xy[pending]).query(xy[nodes[candidates]])
             active = candidates[wc * near <= radius * (1.0 + _BOUND_SLACK)]
-    table.src[np.isinf(table.dist)] = -1
-    return table.dist, table.src
+    return table.result()
 
 
 def snap_to_water(cost: CostSurface, x: float, y: float, *,

@@ -209,6 +209,28 @@ class TestAsciiGrid:
         with pytest.raises(FormatError, match="line 7, column 2"):
             read_ascii_grid(path)
 
+    def test_nodata_finer_than_the_decimals_is_rejected(self, tmp_path):
+        # -9999.1234567 would be written as -9999.123457 and read back as data
+        geom = GridGeometry(ncols=2, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
+        raster = RasterGrid(geom, np.array([[1.0, -9999.1234567]]), -9999.1234567)
+        path = tmp_path / "g.asc"
+        with pytest.raises(ValueError, match="nodata mask"):
+            write_ascii_grid(raster, path)
+        assert not path.exists()
+        write_ascii_grid(raster, path, decimals=7)
+        assert np.array_equal(read_ascii_grid(path).is_nodata, raster.is_nodata)
+
+    def test_data_rounding_onto_nodata_is_rejected(self, tmp_path):
+        # 2.0000004 would be written as 2.000000 and read back as nodata
+        geom = GridGeometry(ncols=3, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
+        raster = RasterGrid(geom, np.array([[2.0000004, 2.0, 5.0]]), 2.0)
+        path = tmp_path / "g.asc"
+        with pytest.raises(ValueError, match="nodata mask"):
+            write_ascii_grid(raster, path)
+        assert not path.exists()
+        write_ascii_grid(raster, path, decimals=7)
+        assert np.array_equal(read_ascii_grid(path).is_nodata, raster.is_nodata)
+
     def test_decimals_control_data_precision(self, tmp_path):
         geom = GridGeometry(ncols=1, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
         path = tmp_path / "g.asc"

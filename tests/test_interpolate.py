@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pathidw import (
+    DEFAULT_WATER_COST,
     CostSurface,
     GridGeometry,
     InterpConfig,
@@ -19,7 +20,9 @@ from pathidw import (
     interpolate_ipdw,
     snapped_sources,
 )
-from pathidw.interpolate import _estimate, _select
+from pathidw import pathdist
+from pathidw.interpolate import _estimate, _straight_line_sources
+from pathidw.pathdist import neighbor_table
 
 
 def surface(values, cellsize=60.0):
@@ -32,6 +35,17 @@ def surface(values, cellsize=60.0):
 def points(xyv):
     arr = np.asarray(xyv, dtype=float)
     return PointSet(x=arr[:, 0], y=arr[:, 1], values=arr[:, 2])
+
+
+def table(dist, config):
+    """``neighbor_table`` over a dense (sources, targets) distance matrix."""
+    return neighbor_table(lambda part: dist[part], *dist.shape, k=config.n_nearest,
+                          max_distance=config.max_distance)
+
+
+def estimate_dense(dist, values, config):
+    d, src = table(dist, config)
+    return _estimate(d, values[src], config)
 
 
 def finite_floats(lo, hi):
@@ -64,6 +78,10 @@ class TestInterpConfig:
             InterpConfig.nearest(0)
         with pytest.raises(ValueError):
             InterpConfig.within(0.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            InterpConfig.nearest(2.5)
+        with pytest.raises(ValueError, match="positive integer"):
+            InterpConfig.nearest(True)
 
     def test_frozen(self):
         config = InterpConfig()
@@ -368,7 +386,7 @@ class TestEstimateColumns:
             config = InterpConfig.within(float(rng.uniform(1.0, 120.0)))
         else:
             config = InterpConfig.all_points()
-        est, has = _estimate(*_select(dist.copy(), values, config), config)
+        est, has = estimate_dense(dist.copy(), values, config)
         for t in range(nt):
             pairs = [(dist[i, t], values[i]) for i in range(k) if np.isfinite(dist[i, t])]
             expected = oracles.shepard_direct(pairs, config.power, n_nearest=config.n_nearest,
@@ -384,29 +402,115 @@ class TestEstimateColumns:
         dist = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, np.inf]])
         values = np.array([1.0, 2.0, 3.0])
         for config in (InterpConfig.all_points(), InterpConfig.nearest(3)):
-            d, v = _select(dist, values, config)
+            d, src = table(dist, config)
             assert np.array_equal(d, dist)
-            assert np.array_equal(v, np.broadcast_to(values[:, None], dist.shape))
-        d, v = _select(dist, values, InterpConfig.within(2.5))
+            assert src.tolist() == [[0, 0], [1, 1], [2, -1]]
+        d, src = table(dist, InterpConfig.within(2.5))
         assert np.array_equal(d, np.where(dist <= 2.5, dist, np.inf))
-        assert v[:, 0].tolist() == [1.0, 2.0, 3.0]
-        d, v = _select(dist, values, InterpConfig.nearest(2))
+        assert src[:, 0].tolist() == [-1, 1, 2]
+        d, src = table(dist, InterpConfig.nearest(2))
         assert d.tolist() == [[1.0, 1.0], [2.0, 2.0]]
-        assert v.tolist() == [[2.0, 1.0], [3.0, 2.0]]
+        assert values[src].tolist() == [[2.0, 1.0], [3.0, 2.0]]
 
     def test_zero_distance_column(self):
         dist = np.array([[0.0, 3.0], [1.0, 4.0]])
         values = np.array([6.0, 10.0])
         config = InterpConfig.all_points()
-        est, has = _estimate(*_select(dist, values, config), config)
+        est, has = estimate_dense(dist, values, config)
         assert has.all()
         assert est[0] == 6.0
 
     def test_all_excluded_column(self):
         dist = np.array([[np.inf], [np.inf]])
         config = InterpConfig.all_points()
-        est, has = _estimate(*_select(dist, np.array([1.0, 2.0]), config), config)
+        est, has = estimate_dense(dist, np.array([1.0, 2.0]), config)
         assert not has[0]
+
+
+def dense_idw(pts, geometry, config, mask=None):
+    """IDW table and raster from a dense straight-line matrix.
+
+    Rows stay in source order unless nearest-n trims more than n sources,
+    where a stable sort keeps each column's n nearest by (distance, source
+    order). Returns ((distances, sources), raster values).
+    """
+    cost = mask if mask is not None else CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
+    cells, values = snapped_sources(pts, cost=cost)
+    water = cost.is_water
+    cx, cy = geometry.cell_centers()
+    rows, cols = np.array(cells).T
+    dist = np.hypot(cx[water][None, :] - cx[rows, cols][:, None],
+                    cy[water][None, :] - cy[rows, cols][:, None])
+    src = np.broadcast_to(np.arange(len(dist))[:, None], dist.shape)
+    if config.mode == "within":
+        dist = np.where(dist <= config.max_distance, dist, np.inf)
+    if config.mode == "nearest" and len(dist) > config.n_nearest:
+        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
+        dist = np.take_along_axis(dist, src, axis=0)
+    est, has = _estimate(dist, values[src], config)
+    out = np.full(geometry.n_cells, -9999.0)
+    out[np.flatnonzero(water.ravel())[has]] = est[has]
+    return (dist, src), out.reshape(geometry.nrows, geometry.ncols)
+
+
+def assert_idw_matches_dense(pts, geometry, config, mask=None):
+    (ref_d, ref_s), ref_raster = dense_idw(pts, geometry, config, mask)
+    cost = mask if mask is not None else CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
+    dist, src = _straight_line_sources(cost, snapped_sources(pts, cost=cost)[0],
+                                       k=config.n_nearest, max_distance=config.max_distance)
+    assert np.array_equal(dist, ref_d)
+    found = np.isfinite(dist)
+    assert np.array_equal(src[found], ref_s[found])
+    assert (src[~found] == -1).all()
+    assert np.array_equal(interpolate_idw(pts, geometry, config, mask=mask).values, ref_raster)
+
+
+class TestStraightLineTable:
+    @given(data=st.data())
+    def test_matches_dense_reference(self, data):
+        # Lattice sources put many targets at exactly equal distances from
+        # several sources, so the (distance, source order) rule decides.
+        nrows, ncols = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        step = data.draw(st.integers(1, 2))
+        cells = [(r, c) for r in range(rng.integers(step), nrows, step)
+                 for c in range(rng.integers(step), ncols, step)] or [(0, 0)]
+        cells += [cells[i] for i in rng.integers(0, len(cells), data.draw(st.integers(0, 5)))]
+        if data.draw(st.booleans()):
+            cells.reverse()
+        vals = np.where(rng.random((nrows, ncols)) < 0.3, 10000.0, 1.0)
+        vals[tuple(np.array(cells).T)] = 1.0
+        cost = surface(vals)
+        centers = np.array([cost.geometry.center_of(r, c) for r, c in cells])
+        pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
+        n_sources = len(set(cells))
+        n = data.draw(st.sampled_from([1, 2, 3, 5, max(1, n_sources - 1), n_sources + 1]))
+        config = data.draw(st.sampled_from([
+            InterpConfig.nearest(n), InterpConfig.within(60.0 * step * 1.5),
+            InterpConfig.all_points()]))
+        assert_idw_matches_dense(pts, cost.geometry, config,
+                                 data.draw(st.sampled_from([None, cost])))
+
+    def test_nearest_n_never_builds_a_sources_by_cells_array(self, monkeypatch):
+        rows = []
+        real = np.hypot
+
+        def spy(a, b, *args, **kwargs):
+            rows.append(np.broadcast_shapes(np.shape(a), np.shape(b))[0])
+            return real(a, b, *args, **kwargs)
+
+        cost = surface(np.ones((20, 20)))
+        rng = np.random.default_rng(4)
+        pts = PointSet(rng.uniform(0, 1200, 100), rng.uniform(0, 1200, 100),
+                       rng.uniform(-10.0, 10.0, 100))
+        n_sources = len(snapped_sources(pts, cost=cost)[0])
+        assert n_sources > 2 * pathdist._CHUNK
+        monkeypatch.setattr(np, "hypot", spy)
+        got = interpolate_idw(pts, cost.geometry, InterpConfig.nearest(3), mask=cost).values
+        monkeypatch.undo()
+        assert sum(rows) == n_sources
+        assert max(rows) <= pathdist._CHUNK
+        assert np.array_equal(got, dense_idw(pts, cost.geometry, InterpConfig.nearest(3), cost)[1])
 
 
 class TestTranslationEquivariance:

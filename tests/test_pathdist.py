@@ -147,6 +147,9 @@ class TestDistanceField:
             nearest_sources(surface(np.array([[1.0, -9999.0]])), [(0, 1)])
         with pytest.raises(ValueError, match="not water"):
             nearest_sources(surface(np.array([[1.0, 10000.0]])), [(0, 1)])
+        for k in (2.5, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                nearest_sources(cost, [(0, 0)], k=k)
 
     def test_source_distance_zero_and_reachable(self):
         cost = water(3, 3)
