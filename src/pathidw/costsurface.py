@@ -4,6 +4,14 @@ A cost surface is a two-valued raster: traversable open water carries a low
 cost and barrier land a prohibitively high one (1 and 10,000 by default).
 Land is burned in from polygon rings by a center-point test: a cell is land
 iff its center lies inside at least one ring under the even-odd rule.
+
+Containment is a banded scan. The query points are sorted by y once per
+call; each ring edge then finds, with two binary searches, the slice of
+points in its half-open span ``min(y1, y2) <= y < max(y1, y2)`` and runs
+the crossing test on that slice only. The work is O(edges * log(points) +
+points in the edges' spans) instead of O(edges * points), and the points
+tested, the crossing arithmetic and so the result are those of testing
+every point against every edge.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 
 DEFAULT_WATER_COST = 1.0
 DEFAULT_LAND_COST = 10000.0
+# (point, edge) pairs tested at once: caps the transient arrays of one ring
+# with many tall edges at a few tens of MB, whatever the grid size
+_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,28 +70,38 @@ class PolygonSet:
         """Even-odd containment of points (x, y); accepts scalars or arrays."""
         px = np.asarray(x, dtype=np.float64)
         py = np.asarray(y, dtype=np.float64)
-        inside = np.zeros(np.broadcast(px, py).shape, dtype=bool)
+        shape = np.broadcast(px, py).shape
+        # sorted by y, the points an edge spans, min(y1, y2) <= y < max(y1, y2),
+        # are one slice; NaN sorts last and falls in no slice
+        order = np.argsort(np.broadcast_to(py, shape), axis=None, kind="stable")
+        xs = np.broadcast_to(px, shape).ravel()[order]
+        ys = np.broadcast_to(py, shape).ravel()[order]
+        inside = np.zeros(len(ys), dtype=bool)
         for ring in self.rings:
-            inside |= _ring_contains(ring, px, py)
-        return inside
-
-
-def _ring_contains(ring: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Crossing-number parity of points against one closed ring."""
-    inside = np.zeros(np.broadcast(px, py).shape, dtype=bool)
-    x1, y1 = ring[:-1, 0], ring[:-1, 1]
-    x2, y2 = ring[1:, 0], ring[1:, 1]
-    for ex1, ey1, ex2, ey2 in zip(x1, y1, x2, y2):
-        crosses = ((ey1 <= py) & (py < ey2)) | ((ey2 <= py) & (py < ey1))
-        if not crosses.any():
-            continue
-        # x of the edge at height py; only evaluated where the edge spans py,
-        # so ey2 != ey1 there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (py - ey1) / (ey2 - ey1)
-            xi = ex1 + t * (ex2 - ex1)
-        inside ^= crosses & (px < xi)
-    return inside
+            x1, y1 = ring[:-1, 0], ring[:-1, 1]
+            x2, y2 = ring[1:, 0], ring[1:, 1]
+            dx, dy = x2 - x1, y2 - y1
+            lo = np.searchsorted(ys, np.minimum(y1, y2))
+            hi = np.searchsorted(ys, np.maximum(y1, y2))
+            # a closed ring spans every point between its lowest and highest
+            # vertex, so its parity array is no longer than the pairs tested
+            base = lo.min()
+            odd = np.zeros(hi.max() - base, dtype=bool)
+            ends = np.cumsum(hi - lo)
+            for edges in np.split(np.arange(len(lo)),
+                                  np.searchsorted(ends, np.arange(_PAIRS, ends[-1], _PAIRS))):
+                n = hi[edges] - lo[edges]
+                # the sorted positions of each edge's slice, edge after edge
+                pos = np.arange(n.sum()) + np.repeat(lo[edges] - (np.cumsum(n) - n), n)
+                # x of the edge at the point's height; dy != 0 in its span
+                t = (ys[pos] - np.repeat(y1[edges], n)) / np.repeat(dy[edges], n)
+                xi = np.repeat(x1[edges], n) + t * np.repeat(dx[edges], n)
+                crossed = np.bincount(pos[xs[pos] < xi] - base, minlength=len(odd))
+                odd ^= (crossed & 1).astype(bool)
+            inside[base:base + len(odd)] |= odd
+        out = np.empty(len(ys), dtype=bool)
+        out[order] = inside
+        return out.reshape(shape)
 
 
 @dataclass(frozen=True)

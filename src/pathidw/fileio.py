@@ -169,9 +169,17 @@ def read_ascii_grid(path) -> RasterGrid:
     if len(data_lines) != nrows:
         raise FormatError(f"expected {nrows} data rows, found {len(data_lines)}",
                           path=str(path), line=len(lines))
+    rows = [line.split() for _, line in data_lines]
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (nrows, ncols) and np.isfinite(values).all():
+        return RasterGrid(geom, values, header["nodata_value"])
+    # numpy parses a token as float() does; token by token, this finds the
+    # first bad row or token and reports where it is
     values = np.empty((nrows, ncols))
-    for r, (lineno, line) in enumerate(data_lines):
-        tokens = line.split()
+    for r, ((lineno, _), tokens) in enumerate(zip(data_lines, rows)):
         if len(tokens) != ncols:
             raise FormatError(f"row {r}: expected {ncols} values, got {len(tokens)}",
                               path=str(path), line=lineno)

@@ -84,6 +84,9 @@ _CHUNK = 32
 # certifies 99.7% of cells and one retry at 1.5x the rest; doubling makes
 # that retry cost twice as much
 _GROWTH = 1.5
+# target columns merged at once: the merge's (k + _CHUNK) x columns
+# temporaries stay a few MB however many targets a chunk reaches
+_TILE = 2048
 # relative slack on the Euclidean lower bound, far above the rounding of
 # path sums and of the bound itself, so pruning never drops a true neighbor
 _BOUND_SLACK = 1e-9
@@ -102,26 +105,32 @@ class _NeighborTable:
         self.src = np.full((k, n_targets), -1)
 
     def search(self, blocks, ids, columns):
-        """Merge ``blocks(part)``, the distances from ``_CHUNK`` sources ``ids`` at a time.
+        """Refill ``columns`` from ``blocks(part)``, the distances from ``_CHUNK`` of ``ids``.
 
-        Stable sorting keeps ties in source order because the table holds
-        only labels of earlier sources in every column it merges into: the
-        caller clears a column before searching it again and runs each pass
-        in ascending source order.
+        The columns are cleared first and ``ids`` ascend, so a stable sort
+        keeps ties in source order. Columns merge ``_TILE`` at a time.
         """
+        self.dist[:, columns] = np.inf
         for lo in range(0, len(ids), _CHUNK):
             part = ids[lo:lo + _CHUNK]
             block = blocks(part)
             # a label must beat the column's k-th: a tie loses to the earlier
             # source already there
             cols = np.flatnonzero(columns & (block.min(axis=0) < self.dist[-1]))
-            if not len(cols):
-                continue
-            d = np.concatenate([self.dist[:, cols], block[:, cols]])
-            s = np.concatenate([self.src[:, cols], np.repeat(part[:, None], len(cols), axis=1)])
-            order = np.argsort(d, axis=0, kind="stable")[:len(self.dist)]
-            self.dist[:, cols] = np.take_along_axis(d, order, axis=0)
-            self.src[:, cols] = np.take_along_axis(s, order, axis=0)
+            for tile in range(0, len(cols), _TILE):
+                self._merge(block, part, cols[tile:tile + _TILE], first=lo == 0)
+
+    def _merge(self, block, part, cols, first):
+        d = block[:, cols]
+        s = np.broadcast_to(part[:, None], d.shape)
+        # on a search's first chunk every slot is empty, and the block sorted
+        # on its own gives the same labels: empty slots only ever hold inf
+        if not first:
+            d = np.concatenate([self.dist[:, cols], d])
+            s = np.concatenate([self.src[:, cols], s])
+        order = np.argsort(d, axis=0, kind="stable")[:len(self.dist)]
+        self.dist[:len(order), cols] = np.take_along_axis(d, order, axis=0)
+        self.src[:len(order), cols] = np.take_along_axis(s, order, axis=0)
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """``(dist, src)``, with -1 in every empty slot."""
@@ -224,7 +233,6 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     while pending.any():
         table.search(_path_blocks(graph, nodes, radius), active, pending)
         pending &= np.isinf(table.dist[-1])
-        table.dist[:, pending] = np.inf
         radius *= _GROWTH
         if pending.any():
             near, _ = cKDTree(xy[pending]).query(xy[nodes[candidates]])

@@ -235,3 +235,31 @@ def snap_window(water, xll, yll, cellsize, x, y, radius):
             if d2 < best_d2:
                 best, best_d2 = (r, c), d2
     return best
+
+
+def even_odd_contains(rings, xs, ys):
+    """Even-odd containment of each point (xs[i], ys[i]) by a scalar loop.
+
+    For every point, every ring and every edge, the edge counts as crossed
+    when the point's y lies in [min(y1, y2), max(y1, y2)) and its x lies
+    left of the edge at that height; a ring holds the point on an odd count,
+    and the set holds it when any ring does. NaN compares false, so it never
+    crosses. The crossing x is the same t-then-x expression as the
+    production rule, in Python floats, so points on sloped edges decide
+    alike; the band, the parity and the union are this loop's own.
+    Returns a list of bools.
+    """
+    out = []
+    for px, py in zip(xs, ys):
+        px, py = float(px), float(py)
+        inside = False
+        for ring in rings:
+            crossings = 0
+            for (x1, y1), (x2, y2) in zip(ring[:-1].tolist(), ring[1:].tolist()):
+                if min(y1, y2) <= py < max(y1, y2):
+                    t = (py - y1) / (y2 - y1)
+                    if px < x1 + t * (x2 - x1):
+                        crossings += 1
+            inside = inside or crossings % 2 == 1
+        out.append(inside)
+    return out

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from pathidw import (
     DEFAULT_LAND_COST,
     DEFAULT_WATER_COST,
@@ -14,10 +17,35 @@ from pathidw import (
     rasterize_land,
     reclassify,
 )
+from pathidw import costsurface
 
 
 def square(x0, y0, x1, y1):
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]], dtype=float)
+
+
+@st.composite
+def lattice_rings(draw):
+    """1-3 closed rings on the integer lattice 0..5: self-intersecting,
+    overlapping, with horizontal and zero-length edges."""
+    vertex = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    rings = []
+    for _ in range(draw(st.integers(1, 3))):
+        ring = draw(st.lists(vertex, min_size=3, max_size=8))
+        rings.append(np.array(ring + ring[:1], dtype=float))
+    return tuple(rings)
+
+
+# half steps put points on vertices, on horizontal edges and on every edge's
+# y-levels; NaN, infinities and -0.0 test the comparisons' corner cases
+coordinate = st.one_of(st.integers(-2, 12).map(lambda v: v / 2), st.floats(-1.0, 6.0),
+                       st.sampled_from([math.nan, -0.0, math.inf, -math.inf]))
+
+
+def oracle_contains(polys, x, y):
+    bx, by = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    inside = oracles.even_odd_contains(polys.rings, bx.ravel(), by.ravel())
+    return np.array(inside, dtype=bool).reshape(bx.shape)
 
 
 class TestPolygonSet:
@@ -79,6 +107,30 @@ class TestPolygonSet:
         assert polys.contains(7.5, 6.0)
         assert not polys.contains(4.5, 6.0)
         assert polys.contains(4.5, 1.5)
+
+    @given(rings=lattice_rings(), data=st.data())
+    def test_contains_matches_scalar_oracle(self, rings, data):
+        shape = data.draw(st.sampled_from(["scalar", "1-d", "2-d", "empty"]))
+        if shape == "scalar":
+            x, y = data.draw(coordinate), data.draw(coordinate)
+        elif shape == "1-d":
+            n = data.draw(st.integers(1, 30))
+            x, y = (np.array(data.draw(st.lists(coordinate, min_size=n, max_size=n)))
+                    for _ in range(2))
+        elif shape == "2-d":
+            x = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=6)))[:, None]
+            y = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=6)))[None, :]
+        else:
+            x = y = np.empty(0)
+        polys = PolygonSet(rings if data.draw(st.booleans()) else ())
+        # a small cap splits a ring's edges into many groups, some empty
+        cap = data.draw(st.sampled_from([costsurface._PAIRS, 1, 5]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(costsurface, "_PAIRS", cap)
+            got = polys.contains(x, y)
+        want = oracle_contains(polys, x, y)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_rings_are_read_only(self):
         polys = PolygonSet((square(0, 0, 1, 1),))
@@ -143,6 +195,35 @@ class TestRasterizeLand:
         x, y, w, h = extra
         more = rasterize_land(PolygonSet(tuple(rings) + (square(x, y, x + w, y + h),)), geom)
         assert np.all(more.is_land | ~base.is_land)
+
+
+    @given(rings=lattice_rings(), data=st.data())
+    def test_matches_scalar_oracle(self, rings, data):
+        # centers on the lattice's half steps: on vertices and edges
+        cs = data.draw(st.sampled_from([0.5, 1.0]))
+        geom = GridGeometry(ncols=data.draw(st.integers(1, 16)),
+                            nrows=data.draw(st.integers(1, 16)),
+                            xll=-1.0 - cs / 2, yll=-1.0 - cs / 2, cellsize=cs)
+        polys = PolygonSet(rings)
+        cost = rasterize_land(polys, geom)
+        assert np.array_equal(cost.is_land, oracle_contains(polys, *geom.cell_centers()))
+
+    def test_ring_over_a_few_rows_of_a_large_grid(self):
+        # Cell centers sit at half-integers. The first ring spans rows
+        # 136-139 only, from a bottom edge on row 139's centers to a vertex
+        # on row 136's; the second spans the grid's bottom row to its top.
+        geom = GridGeometry(ncols=180, nrows=240, xll=0.0, yll=0.0, cellsize=1.0)
+        rings = (np.array([[10.5, 100.5], [170.5, 100.5], [150.25, 103.5], [40.5, 102.5],
+                           [10.5, 100.5]]),
+                 np.array([[3.0, 0.5], [5.5, 0.5], [5.5, 239.5], [3.0, 239.5], [3.0, 0.5]]))
+        polys = PolygonSet(rings)
+        land = rasterize_land(polys, geom).is_land
+        assert np.array_equal(land, oracle_contains(polys, *geom.cell_centers()))
+        # bands are half-open: a ring's lowest y-level is in, its highest out
+        assert land[139, 10:170].all() and not land[136, 6:].any()
+        assert land[239, 3:5].all() and not land[0].any()
+        assert land[137:140, 40:150].all()
+        assert not land[:136, 6:].any() and not land[140:, 6:].any()
 
 
 class TestCostSurface:

@@ -209,6 +209,48 @@ class TestAsciiGrid:
         with pytest.raises(FormatError, match="line 7, column 2"):
             read_ascii_grid(path)
 
+    # float() spellings numpy might have parsed differently
+    TOKENS = ["1_0", "\uff11\uff12", "1e400", "Infinity", "-0", "0x10", "1d3", "nan",
+              "1__0", "\u0663", ".5", "+1.5e+3"]
+
+    def test_numpy_parses_tokens_as_float_does(self):
+        # The bulk parse relies on numpy agreeing with float() on every token,
+        # failures included.
+        for token in self.TOKENS:
+            try:
+                want = np.float64(float(token)).tobytes()
+            except ValueError:
+                want = None
+            try:
+                got = np.array([[token]], dtype=float).tobytes()
+            except ValueError:
+                got = None
+            assert got == want or (want is not None and np.isnan(float(token))), token
+
+    def test_rows_read_in_bulk_match_float_per_token(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+                        "NODATA_value -1\n1_0 \uff11\uff12 -0\n\u0663 .5 +1.5e+3\n")
+        values = read_ascii_grid(path).values
+        want = [[float(t) for t in row] for row in (["1_0", "\uff11\uff12", "-0"],
+                                                  ["\u0663", ".5", "+1.5e+3"])]
+        assert values.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("token, message", [
+        ("1e400", "line 8, column 3: non-finite value '1e400'"),
+        ("Infinity", "line 8, column 3: non-finite value 'Infinity'"),
+        ("0x10", "line 8, column 3: not a number: '0x10'"),
+        ("1d3", "line 8, column 3: not a number: '1d3'"),
+        ("1 2", "line 8: row 1: expected 3 values, got 4"),
+    ])
+    def test_bad_token_in_a_later_row_reports_position(self, tmp_path, token, message):
+        path = tmp_path / "g.asc"
+        path.write_text("ncols 3\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+                        f"NODATA_value -1\n1 2 3\n4 5 {token}\n7 8 9\n")
+        with pytest.raises(FormatError) as err:
+            read_ascii_grid(path)
+        assert message in str(err.value)
+
     def test_nodata_finer_than_the_decimals_is_rejected(self, tmp_path):
         # -9999.1234567 would be written as -9999.123457 and read back as data
         geom = GridGeometry(ncols=2, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)

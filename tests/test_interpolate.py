@@ -465,31 +465,45 @@ def assert_idw_matches_dense(pts, geometry, config, mask=None):
     assert np.array_equal(interpolate_idw(pts, geometry, config, mask=mask).values, ref_raster)
 
 
+def check_lattice_sources(data):
+    """Lattice sources from ``data``, checked against ``dense_idw``."""
+    # Lattice sources put many targets at exactly equal distances from
+    # several sources, so the (distance, source order) rule decides.
+    nrows, ncols = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    step = data.draw(st.integers(1, 2))
+    cells = [(r, c) for r in range(rng.integers(step), nrows, step)
+             for c in range(rng.integers(step), ncols, step)] or [(0, 0)]
+    cells += [cells[i] for i in rng.integers(0, len(cells), data.draw(st.integers(0, 5)))]
+    if data.draw(st.booleans()):
+        cells.reverse()
+    vals = np.where(rng.random((nrows, ncols)) < 0.3, 10000.0, 1.0)
+    vals[tuple(np.array(cells).T)] = 1.0
+    cost = surface(vals)
+    centers = np.array([cost.geometry.center_of(r, c) for r, c in cells])
+    pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
+    n_sources = len(set(cells))
+    n = data.draw(st.sampled_from([1, 2, 3, 5, max(1, n_sources - 1), n_sources + 1]))
+    config = data.draw(st.sampled_from([
+        InterpConfig.nearest(n), InterpConfig.within(60.0 * step * 1.5),
+        InterpConfig.all_points()]))
+    assert_idw_matches_dense(pts, cost.geometry, config,
+                             data.draw(st.sampled_from([None, cost])))
+
+
 class TestStraightLineTable:
     @given(data=st.data())
     def test_matches_dense_reference(self, data):
-        # Lattice sources put many targets at exactly equal distances from
-        # several sources, so the (distance, source order) rule decides.
-        nrows, ncols = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        step = data.draw(st.integers(1, 2))
-        cells = [(r, c) for r in range(rng.integers(step), nrows, step)
-                 for c in range(rng.integers(step), ncols, step)] or [(0, 0)]
-        cells += [cells[i] for i in rng.integers(0, len(cells), data.draw(st.integers(0, 5)))]
-        if data.draw(st.booleans()):
-            cells.reverse()
-        vals = np.where(rng.random((nrows, ncols)) < 0.3, 10000.0, 1.0)
-        vals[tuple(np.array(cells).T)] = 1.0
-        cost = surface(vals)
-        centers = np.array([cost.geometry.center_of(r, c) for r, c in cells])
-        pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
-        n_sources = len(set(cells))
-        n = data.draw(st.sampled_from([1, 2, 3, 5, max(1, n_sources - 1), n_sources + 1]))
-        config = data.draw(st.sampled_from([
-            InterpConfig.nearest(n), InterpConfig.within(60.0 * step * 1.5),
-            InterpConfig.all_points()]))
-        assert_idw_matches_dense(pts, cost.geometry, config,
-                                 data.draw(st.sampled_from([None, cost])))
+        check_lattice_sources(data)
+
+    @pytest.mark.parametrize("tile", [3, 7])
+    @given(data=st.data())
+    def test_small_merge_tiles_match_dense_reference(self, tile, data):
+        # Tiles far narrower than the grids split every merge, and most
+        # merges end on a partial tile.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathdist, "_TILE", tile)
+            check_lattice_sources(data)
 
     def test_nearest_n_never_builds_a_sources_by_cells_array(self, monkeypatch):
         rows = []

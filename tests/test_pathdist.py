@@ -404,24 +404,55 @@ def points_on_cells(cost, cells, rng):
     return PointSet(xy[:, 0], xy[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
 
 
+def check_random_grid(data):
+    """A random grid and survey from ``data``, checked against ``dense_reference``."""
+    nrows, ncols = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    water_cost = data.draw(st.sampled_from([1.0, 0.5, 3.0]))
+    vals = np.where(rng.random((nrows, ncols)) < data.draw(st.floats(0.0, 0.5)),
+                    10000.0, water_cost)
+    vals[0, 0] = water_cost
+    cost = CostSurface(RasterGrid(GridGeometry(ncols, nrows, 0.0, 0.0, CS), vals, -9999.0),
+                       water_cost, 10000.0)
+    wet = np.argwhere(cost.is_water)
+    picks = rng.integers(0, len(wet), size=data.draw(st.integers(1, 40)))
+    pts = points_on_cells(cost, [tuple(wet[i]) for i in picks], rng)
+    config = data.draw(st.sampled_from([
+        InterpConfig.nearest(1), InterpConfig.nearest(2), InterpConfig.nearest(4),
+        InterpConfig.within(water_cost * CS * 3.5), InterpConfig.all_points()]))
+    assert_matches_dense(cost, pts, config)
+
+
+def corner_scene(water_cost):
+    """A 30x30 water grid and 20 points in its 5x5 corner: (cost, points)."""
+    cost = CostSurface(RasterGrid(GridGeometry(30, 30, 0.0, 0.0, CS),
+                                  np.full((30, 30), water_cost), -9999.0),
+                       water_cost, 10000.0)
+    rng = np.random.default_rng(3)
+    cells = [divmod(int(i), 5) for i in rng.choice(25, size=20, replace=False)]
+    return cost, points_on_cells(cost, cells, rng)
+
+
 class TestNearestSources:
     @given(data=st.data())
     def test_random_grids_match_dense_reference(self, data):
-        nrows, ncols = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 12))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        water_cost = data.draw(st.sampled_from([1.0, 0.5, 3.0]))
-        vals = np.where(rng.random((nrows, ncols)) < data.draw(st.floats(0.0, 0.5)),
-                        10000.0, water_cost)
-        vals[0, 0] = water_cost
-        cost = CostSurface(RasterGrid(GridGeometry(ncols, nrows, 0.0, 0.0, CS), vals, -9999.0),
-                           water_cost, 10000.0)
-        wet = np.argwhere(cost.is_water)
-        picks = rng.integers(0, len(wet), size=data.draw(st.integers(1, 40)))
-        pts = points_on_cells(cost, [tuple(wet[i]) for i in picks], rng)
-        config = data.draw(st.sampled_from([
-            InterpConfig.nearest(1), InterpConfig.nearest(2), InterpConfig.nearest(4),
-            InterpConfig.within(water_cost * CS * 3.5), InterpConfig.all_points()]))
-        assert_matches_dense(cost, pts, config)
+        check_random_grid(data)
+
+    @pytest.mark.parametrize("tile", [3, 7])
+    @given(data=st.data())
+    def test_small_merge_tiles_match_dense_reference(self, tile, data):
+        # Tiles far narrower than the grids split every merge, and most
+        # merges end on a partial tile.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathdist, "_TILE", tile)
+            check_random_grid(data)
+
+    @pytest.mark.parametrize("tile", [3, 7])
+    def test_small_merge_tiles_on_retried_columns(self, tile, monkeypatch):
+        # The corner scene clears and refills far columns pass after pass.
+        monkeypatch.setattr(pathdist, "_TILE", tile)
+        for water_cost in (1.0, 0.5):
+            assert_matches_dense(*corner_scene(water_cost), InterpConfig.nearest(2))
 
     def test_equal_path_distances_go_to_the_earlier_source(self):
         # A lattice of sources two cells apart on open water puts many cells
@@ -475,12 +506,7 @@ class TestNearestSources:
         # Far cells cannot find k sources within the starting radius, so
         # the search retries them at a growing radius, pass after pass. With
         # water_cost 0.5 the straight-line pruning bound must scale by it too.
-        cost = CostSurface(RasterGrid(GridGeometry(30, 30, 0.0, 0.0, CS),
-                                      np.full((30, 30), water_cost), -9999.0),
-                           water_cost, 10000.0)
-        rng = np.random.default_rng(3)
-        cells = [divmod(int(i), 5) for i in rng.choice(25, size=20, replace=False)]
-        pts = points_on_cells(cost, cells, rng)
+        cost, pts = corner_scene(water_cost)
         limits = []
         real = pathdist.csgraph.dijkstra
 
