@@ -12,8 +12,9 @@ and neighborhood settings cannot diverge between methods being compared.
 
 Both interpolators run one pipeline, snap -> neighbor table -> estimate,
 and differ only in the engine that fills the (rows, targets) table: IPDW
-the path search ``pathdist.nearest_sources``, IDW straight-line blocks
-merged by the same top-k table (``pathdist.neighbor_table``). In nearest-n
+the path search ``pathdist.nearest_sources``, IDW straight-line distances:
+a k-d tree candidate search in nearest-n mode, otherwise dense blocks
+through the same table builder (``pathdist.neighbor_table``). In nearest-n
 mode with more than n sources each column holds the n nearest ordered by
 (distance, source order); otherwise the rows are the sources in input
 order. ``idw_estimate`` is one column of the same table and estimator, so
@@ -30,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from . import pathdist
 from .costsurface import DEFAULT_WATER_COST, CostSurface
 from .errors import ConsistencyError
 from .pathdist import (DEFAULT_SNAP_RADIUS, nearest_sources, neighbor_table, require_count,
@@ -141,8 +144,9 @@ def _estimate(dist: np.ndarray, vals: np.ndarray,
               config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
     """The Shepard estimator over a neighbor table.
 
-    ``dist`` and ``vals`` are (rows, n_targets): each column holds one
-    target's selected neighbors, with inf distances marking empty slots.
+    ``dist`` is (rows, n_targets): each column holds one target's selected
+    neighbors, with inf distances marking empty slots. ``vals`` has the same
+    shape, or is (rows, 1) when every column lists the same sources.
     Returns (estimates, has_estimate); targets with no neighbor get
     has_estimate False.
     """
@@ -225,9 +229,41 @@ def _straight_line_sources(cost: CostSurface, cells, *, k: int | None = None,
     cx, cy = cost.geometry.cell_centers()
     water = cost.is_water
     tx, ty = cx[water], cy[water]
-    sx, sy = cx[rows, cols][:, None], cy[rows, cols][:, None]
-    return neighbor_table(lambda part: np.hypot(tx - sx[part], ty - sy[part]),
-                          len(cells), len(tx), k=k, max_distance=max_distance)
+    sx, sy = cx[rows, cols], cy[rows, cols]
+    if k is not None and k < len(cells):
+        return _kd_nearest(tx, ty, sx, sy, k)
+    return neighbor_table(lambda part: np.hypot(tx - sx[part, None], ty - sy[part, None]),
+                          len(cells), len(tx), max_distance=max_distance)
+
+
+def _kd_nearest(tx, ty, sx, sy, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each target's k nearest sources by (``np.hypot`` distance, source index).
+
+    A k-d tree proposes the m nearest sources of each target, ``_TILE``
+    targets at a time. A target is done once its m-th tree distance exceeds
+    its k-th by more than rounding, or m spans every source: then no other
+    source can tie or beat the k-th, and a stable sort of the candidates in
+    index order by their ``np.hypot`` distance gives the exact table. The
+    other targets ask again for twice as many.
+    """
+    n_src = len(sx)
+    tree = cKDTree(np.column_stack([sx, sy]))
+    dist = np.empty((k, len(tx)))
+    src = np.empty((k, len(tx)), dtype=int)
+    for lo in range(0, len(tx), pathdist._TILE):
+        todo = np.arange(lo, min(lo + pathdist._TILE, len(tx)))
+        m = min(n_src, k + 2)
+        while len(todo):
+            near, idx = tree.query(np.column_stack([tx[todo], ty[todo]]), m)
+            idx.sort(axis=1)
+            d = np.hypot(tx[todo, None] - sx[idx], ty[todo, None] - sy[idx])
+            order = np.argsort(d, axis=1, kind="stable")[:, :k]
+            done = (m == n_src) | (near[:, -1] > near[:, k - 1] * (1.0 + pathdist._BOUND_SLACK))
+            dist[:, todo[done]] = np.take_along_axis(d, order, axis=1)[done].T
+            src[:, todo[done]] = np.take_along_axis(idx, order, axis=1)[done].T
+            todo = todo[~done]
+            m = min(n_src, 2 * m)
+    return dist, src
 
 
 def _interpolate(engine, points: PointSet, cost: CostSurface, config: InterpConfig,
@@ -235,8 +271,11 @@ def _interpolate(engine, points: PointSet, cost: CostSurface, config: InterpConf
     """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
     cells, values = snapped_sources(points, cost=cost, snap_radius=snap_radius)
     dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
-    # empty slots (src -1) carry inf distances, so their values go unused
-    est, has = _estimate(dist, values[src], config)
+    # Row i is source i unless nearest-n trims the sources; then values
+    # broadcast instead of being gathered into a sources x cells array.
+    # Empty slots (src -1) carry inf distances, so their values go unused.
+    vals = values[:, None] if len(src) == len(values) else values[src]
+    est, has = _estimate(dist, vals, config)
     geom = cost.geometry
     out = np.full(geom.n_cells, nodata)
     out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]

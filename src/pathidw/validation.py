@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata, spearmanr
 
+from .pathdist import require_count
 from .points import PointSet
 from .raster import RasterGrid
 
@@ -103,8 +104,7 @@ def grid_split(points: PointSet, mesh_cellsize: float, per_cell: int,
         raise ValueError("cannot split an empty point set")
     if not mesh_cellsize > 0:
         raise ValueError(f"mesh_cellsize must be positive, got {mesh_cellsize}")
-    if per_cell < 1:
-        raise ValueError(f"per_cell must be at least 1, got {per_cell}")
+    require_count("per_cell", per_cell)
 
     x0 = float(points.x.min())
     y0 = float(points.y.min())

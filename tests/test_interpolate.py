@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from pathidw import (
@@ -20,7 +21,7 @@ from pathidw import (
     interpolate_ipdw,
     snapped_sources,
 )
-from pathidw import pathdist
+from pathidw import interpolate, pathdist
 from pathidw.interpolate import _estimate, _straight_line_sources
 from pathidw.pathdist import neighbor_table
 
@@ -506,11 +507,11 @@ class TestStraightLineTable:
             check_lattice_sources(data)
 
     def test_nearest_n_never_builds_a_sources_by_cells_array(self, monkeypatch):
-        rows = []
+        sizes = []
         real = np.hypot
 
         def spy(a, b, *args, **kwargs):
-            rows.append(np.broadcast_shapes(np.shape(a), np.shape(b))[0])
+            sizes.append(math.prod(np.broadcast_shapes(np.shape(a), np.shape(b))))
             return real(a, b, *args, **kwargs)
 
         cost = surface(np.ones((20, 20)))
@@ -518,13 +519,44 @@ class TestStraightLineTable:
         pts = PointSet(rng.uniform(0, 1200, 100), rng.uniform(0, 1200, 100),
                        rng.uniform(-10.0, 10.0, 100))
         n_sources = len(snapped_sources(pts, cost=cost)[0])
-        assert n_sources > 2 * pathdist._CHUNK
+        assert n_sources > 60
         monkeypatch.setattr(np, "hypot", spy)
         got = interpolate_idw(pts, cost.geometry, InterpConfig.nearest(3), mask=cost).values
         monkeypatch.undo()
-        assert sum(rows) == n_sources
-        assert max(rows) <= pathdist._CHUNK
+        assert sizes
+        assert max(sizes) * 10 < n_sources * cost.is_water.sum()
         assert np.array_equal(got, dense_idw(pts, cost.geometry, InterpConfig.nearest(3), cost)[1])
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_equidistant_ring_widens_the_candidate_search(self, k, monkeypatch):
+        # Twelve sources lie exactly 5 cells from the target at (10, 10).
+        # For k up to 10 its k-th and (k + 2)-th nearest tie, so the first
+        # candidate query cannot settle it; for every k the ring's ties must
+        # go to the lower source index whatever order the tree finds them in.
+        # The border sources make the tree split the ring over several
+        # leaves, which a single leaf would scan in index order.
+        ring = [(0, 5), (0, -5), (5, 0), (-5, 0), (3, 4), (3, -4), (-3, 4), (-3, -4),
+                (4, 3), (4, -3), (-4, 3), (-4, -3)]
+        far = ([(dr, dc) for dr in range(-10, 11, 4) for dc in (-10, 10)]
+               + [(dr, dc) for dr in (-10, 10) for dc in range(-8, 9, 4)])
+        cost = surface(np.ones((21, 21)))
+        rng = np.random.default_rng(k)
+        order = rng.permutation(len(ring + far))
+        cells = [(10 + dr, 10 + dc) for dr, dc in np.array(ring + far)[order]]
+        centers = np.array([cost.geometry.center_of(r, c) for r, c in cells])
+        pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
+        rounds = []
+
+        class SpyTree(cKDTree):
+            def query(self, x, m, *args, **kwargs):
+                rounds.append((m, np.asarray(x)))
+                return super().query(x, m, *args, **kwargs)
+
+        monkeypatch.setattr(interpolate, "cKDTree", SpyTree)
+        assert_idw_matches_dense(pts, cost.geometry, InterpConfig.nearest(k), cost)
+        target = cost.geometry.center_of(10, 10)
+        widened = [(x == target).all(axis=1).any() for m, x in rounds if m > k + 2]
+        assert any(widened) == (k <= 10)
 
 
 class TestTranslationEquivariance:

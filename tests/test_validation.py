@@ -68,8 +68,9 @@ class TestGridSplit:
         cloud = pts([[0, 0, 1]])
         with pytest.raises(ValueError):
             grid_split(cloud, mesh_cellsize=0.0, per_cell=1, seed=0)
-        with pytest.raises(ValueError):
-            grid_split(cloud, mesh_cellsize=10.0, per_cell=0, seed=0)
+        for per_cell in (0, True, 2.5):
+            with pytest.raises(ValueError):
+                grid_split(cloud, mesh_cellsize=10.0, per_cell=per_cell, seed=0)
         empty = PointSet(x=np.empty(0), y=np.empty(0), values=np.empty(0))
         with pytest.raises(ValueError):
             grid_split(empty, mesh_cellsize=10.0, per_cell=1, seed=0)
