@@ -37,6 +37,22 @@ def _write_preamble(handle, metadata: dict | None):
         handle.write(f"# {key}: {value}\n")
 
 
+def _parse_row(tokens, path, line: int) -> list[float]:
+    """One row's finite data values, or a FormatError at the first bad token's column."""
+    values = []
+    for col, token in enumerate(tokens, start=1):
+        try:
+            val = float(token)
+        except ValueError:
+            raise FormatError(f"not a number: {token!r}", path=str(path),
+                              line=line, column=col) from None
+        if not math.isfinite(val):
+            raise FormatError(f"non-finite value {token!r}", path=str(path),
+                              line=line, column=col)
+        values.append(val)
+    return values
+
+
 def _read_preamble(lines) -> tuple[dict[str, str], list[tuple[int, str]]]:
     """Split '#'-prefixed metadata from data lines; returns (meta, numbered lines)."""
     meta: dict[str, str] = {}
@@ -91,18 +107,7 @@ def read_points(path) -> tuple[PointSet, int]:
         if parts[2] == "NA":
             skipped += 1
             continue
-        values = []
-        for col, token in enumerate(parts, start=1):
-            try:
-                val = float(token)
-            except ValueError:
-                raise FormatError(f"not a number: {token!r}", path=str(path),
-                                  line=lineno, column=col) from None
-            if not math.isfinite(val):
-                raise FormatError(f"non-finite value {token!r}", path=str(path),
-                                  line=lineno, column=col)
-            values.append(val)
-        records.append(tuple(values))
+        records.append(_parse_row(parts, path, lineno))
     return PointSet.from_records(records), skipped
 
 
@@ -183,16 +188,7 @@ def read_ascii_grid(path) -> RasterGrid:
         if len(tokens) != ncols:
             raise FormatError(f"row {r}: expected {ncols} values, got {len(tokens)}",
                               path=str(path), line=lineno)
-        for c, token in enumerate(tokens):
-            try:
-                val = float(token)
-            except ValueError:
-                raise FormatError(f"not a number: {token!r}", path=str(path),
-                                  line=lineno, column=c + 1) from None
-            if not math.isfinite(val):
-                raise FormatError(f"non-finite value {token!r}", path=str(path),
-                                  line=lineno, column=c + 1)
-            values[r, c] = val
+        values[r] = _parse_row(tokens, path, lineno)
     return RasterGrid(geom, values, header["nodata_value"])
 
 

@@ -11,14 +11,14 @@ distances that ignore barriers. Both share one ``InterpConfig``, so power
 and neighborhood settings cannot diverge between methods being compared.
 
 Both interpolators run one pipeline, snap -> neighbor table -> estimate,
-and differ only in the engine that fills the (rows, targets) table: IPDW
-the path search ``pathdist.nearest_sources``, IDW straight-line distances:
-a k-d tree candidate search in nearest-n mode, otherwise dense blocks
-through the same table builder (``pathdist.neighbor_table``). In nearest-n
-mode with more than n sources each column holds the n nearest ordered by
-(distance, source order); otherwise the rows are the sources in input
-order. ``idw_estimate`` is one column of the same table and estimator, so
-the clamp and the tie rule exist once.
+and differ only in the engine that fills the ``(distances, sources)``
+table: IPDW the path search ``pathdist.nearest_sources``, IDW
+straight-line distances, from a k-d tree candidate search in nearest-n
+mode and one ``np.hypot`` block otherwise. In nearest-n mode with more than
+n sources each column holds the n nearest ordered by (distance, source
+order); otherwise the distance rows are the sources in input order and the
+sources are one (sources, 1) column. ``idw_estimate`` is one column of the
+same estimator, with the same tie rule, so the clamp exists once.
 
 Measurement points are snapped to water-cell centers before estimation and
 points landing on the same cell are averaged, for both methods alike; a
@@ -36,10 +36,9 @@ from scipy.spatial import cKDTree
 from . import pathdist
 from .costsurface import DEFAULT_WATER_COST, CostSurface
 from .errors import ConsistencyError
-from .pathdist import (DEFAULT_SNAP_RADIUS, nearest_sources, neighbor_table, require_count,
-                       snap_points)
+from .pathdist import DEFAULT_SNAP_RADIUS, nearest_sources, snap_points
 from .points import PointSet
-from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
+from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid, require_count
 
 # tolerance slack for the post-hoc convex-combination assertion
 _CONVEXITY_RTOL = 1e-9
@@ -103,20 +102,26 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
     Returns None (a NoData outcome, not an error) when no neighbor survives
     the neighborhood filter. A zero-distance neighbor short-circuits to the
     mean of all zero-distance values. An infinite distance marks a neighbor
-    that cannot be reached; it is never used.
+    that cannot be reached; it is never used. Values must be finite.
     """
     pairs = [(float(d), float(v)) for d, v in neighbors]
     if not all(d >= 0 for d, _ in pairs):
         raise ValueError("neighbor distances must be non-negative")
+    if not all(np.isfinite(v) for _, v in pairs):
+        raise ValueError("neighbor values must be finite")
     if not pairs:
         return None
     d, v = np.array(pairs).T
-    dist, src = neighbor_table(lambda part: d[part, None], len(d), 1, k=config.n_nearest,
-                               max_distance=config.max_distance)
-    est, has = _estimate(dist, v[src], config)
+    # the nearest n by (distance, input order), summed in that order
+    if config.n_nearest is not None and config.n_nearest < len(d):
+        keep = np.argsort(d, kind="stable")[:config.n_nearest]
+        d, v = d[keep], v[keep]
+    if config.max_distance is not None:
+        d = np.where(d <= config.max_distance, d, np.inf)
+    est, has = _estimate(d[:, None], v[:, None], config)
     if not has[0]:
         return None
-    used = dist[np.isfinite(dist)]
+    used = d[np.isfinite(d)]
     n_used = int((used == 0.0).sum()) or len(used)
     return Prediction(float(est[0]), n_used, float(used.min()))
 
@@ -232,8 +237,10 @@ def _straight_line_sources(cost: CostSurface, cells, *, k: int | None = None,
     sx, sy = cx[rows, cols], cy[rows, cols]
     if k is not None and k < len(cells):
         return _kd_nearest(tx, ty, sx, sy, k)
-    return neighbor_table(lambda part: np.hypot(tx - sx[part, None], ty - sy[part, None]),
-                          len(cells), len(tx), max_distance=max_distance)
+    dist = np.hypot(tx - sx[:, None], ty - sy[:, None])
+    if max_distance is not None:
+        dist[dist > max_distance] = np.inf
+    return dist, np.arange(len(cells))[:, None]
 
 
 def _kd_nearest(tx, ty, sx, sy, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,11 +278,8 @@ def _interpolate(engine, points: PointSet, cost: CostSurface, config: InterpConf
     """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
     cells, values = snapped_sources(points, cost=cost, snap_radius=snap_radius)
     dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
-    # Row i is source i unless nearest-n trims the sources; then values
-    # broadcast instead of being gathered into a sources x cells array.
-    # Empty slots (src -1) carry inf distances, so their values go unused.
-    vals = values[:, None] if len(src) == len(values) else values[src]
-    est, has = _estimate(dist, vals, config)
+    # Empty slots carry inf distances, so their values (src -1) go unused.
+    est, has = _estimate(dist, values[src], config)
     geom = cost.geometry
     out = np.full(geom.n_cells, nodata)
     out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]

@@ -21,7 +21,6 @@ short of neighbors.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +30,7 @@ from scipy.spatial import cKDTree
 from .costsurface import CostSurface
 from .errors import SnapError
 from .points import PointSet
+from .raster import require_count
 
 DEFAULT_SNAP_RADIUS = 2
 
@@ -93,19 +93,20 @@ _BOUND_SLACK = 1e-9
 
 
 class _NeighborTable:
-    """Running per-target table of the k nearest labels, merged chunk by chunk.
+    """Running per-cell table of the k nearest path labels, merged chunk by chunk.
 
-    ``dist`` and ``src`` are (k, n_targets); an empty slot holds an inf
+    ``dist`` and ``src`` are (k, water cells); an empty slot holds an inf
     distance, and ``result`` gives it source -1. Each column is ordered by
     (distance, source index).
     """
 
-    def __init__(self, n_targets: int, k: int):
-        self.dist = np.full((k, n_targets), np.inf)
-        self.src = np.full((k, n_targets), -1)
+    def __init__(self, graph, nodes, k: int):
+        self.graph, self.nodes = graph, nodes
+        self.dist = np.full((k, graph.shape[0]), np.inf)
+        self.src = np.full((k, graph.shape[0]), -1)
 
-    def search(self, blocks, ids, columns):
-        """Refill ``columns`` from ``blocks(part)``, the distances from ``_CHUNK`` of ``ids``.
+    def search(self, ids, columns, limit=np.inf):
+        """Refill ``columns`` by Dijkstra within ``limit`` from ``_CHUNK`` of ``ids`` at a time.
 
         The columns are cleared first and ``ids`` ascend, so a stable sort
         keeps ties in source order. Columns merge ``_TILE`` at a time.
@@ -113,7 +114,8 @@ class _NeighborTable:
         self.dist[:, columns] = np.inf
         for lo in range(0, len(ids), _CHUNK):
             part = ids[lo:lo + _CHUNK]
-            block = blocks(part)
+            block = csgraph.dijkstra(self.graph, directed=True, indices=self.nodes[part],
+                                     limit=limit)
             # a label must beat the column's k-th: a tie loses to the earlier
             # source already there
             cols = np.flatnonzero(columns & (block.min(axis=0) < self.dist[-1]))
@@ -138,48 +140,22 @@ class _NeighborTable:
         return self.dist, self.src
 
 
-def neighbor_table(blocks, n_sources: int, n_targets: int, *, k: int | None = None,
-                   max_distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Table ``(distances, sources)`` from ``blocks(ids)``, the distances from sources ``ids``.
-
-    With ``k`` below ``n_sources``, column t holds target t's k nearest by
-    (distance, source index), merged block by block. Otherwise row i is
-    source i, cleared beyond ``max_distance``. Empty slots hold inf and -1.
-    """
-    if k is not None and k < n_sources:
-        table = _NeighborTable(n_targets, k)
-        table.search(blocks, np.arange(n_sources), np.ones(n_targets, dtype=bool))
-        return table.result()
-    dist = blocks(np.arange(n_sources))
-    if max_distance is not None:
-        dist = np.where(dist <= max_distance, dist, np.inf)
-    return dist, np.where(np.isinf(dist), -1, np.arange(n_sources)[:, None])
-
-
-def require_count(name: str, k) -> None:
-    """Reject a neighbor count that is not a positive integer (bools included)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"{name} must be a positive integer, got {k!r}")
-
-
-def _path_blocks(graph, nodes, limit=np.inf):
-    """Block function for ``_NeighborTable.search``: Dijkstra from ``nodes[part]``."""
-    return lambda part: csgraph.dijkstra(graph, directed=True, indices=nodes[part], limit=limit)
-
-
 def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
                     max_distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Neighbor table of in-water path distances from source cells.
 
-    Returns ``(distances, sources)``, both shaped (rows, water cells) with
-    water cells in row-major order; a source reaches a water cell when the
-    two are connected through water. Empty slots hold inf and -1, and
-    distances equal a full-grid Dijkstra bit for bit.
+    Returns ``(distances, sources)`` with water cells in row-major order as
+    columns; a source reaches a water cell when the two are connected
+    through water, and an inf distance marks a slot with no source.
+    Distances equal a full-grid Dijkstra bit for bit.
 
-    With ``k`` set and below the number of sources, column t lists the k
-    nearest sources of water cell t, ordered by (distance, position in
-    ``cells``). Otherwise row i is source i: all of them, or those within
-    ``max_distance`` (inclusive) when that is set.
+    With ``k`` set and below the number of sources, both are (k, water
+    cells): column t lists the k nearest sources of water cell t, ordered by
+    (distance, position in ``cells``), and an empty slot holds source -1.
+    Otherwise row i of the distances is source i: all of them, or those
+    within ``max_distance`` (inclusive) when that is set. ``sources`` is
+    then the (sources, 1) column ``0, 1, ...``, which broadcasts against
+    the distances; an unreachable source has an inf distance only.
 
     In nearest-k mode a source whose water component holds at most k
     sources, or which a disc of the starting radius R would mostly cover,
@@ -206,12 +182,13 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     if k is not None and k < len(nodes):
         return _search_nearest(graph, nodes, k, cost, water_flat)
     limit = np.inf if max_distance is None else max_distance
-    return neighbor_table(_path_blocks(graph, nodes, limit), len(nodes), len(water_flat))
+    dist = csgraph.dijkstra(graph, directed=True, indices=nodes, limit=limit)
+    return dist, np.arange(len(nodes))[:, None]
 
 
 def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     n_water, n_src = graph.shape[0], len(nodes)
-    table = _NeighborTable(n_water, k)
+    table = _NeighborTable(graph, nodes, k)
     _, comp = csgraph.connected_components(graph, directed=False)
     src_comp = comp[nodes]
     per_comp = np.bincount(src_comp, minlength=comp.max() + 1)
@@ -222,7 +199,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     radius = 2.0 * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
     disc_cells = 4.0 * k * n_water / n_src
     whole = (per_comp <= k) | (comp_cells <= 2.0 * disc_cells)
-    table.search(_path_blocks(graph, nodes), np.flatnonzero(whole[src_comp]), whole[comp])
+    table.search(np.flatnonzero(whole[src_comp]), whole[comp])
 
     # Every component left holds more than k sources, so the loop ends once
     # the radius spans it. All candidates sit on pending cells at first.
@@ -231,7 +208,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     candidates = active = np.flatnonzero(~whole[src_comp])
     pending = ~whole[comp]
     while pending.any():
-        table.search(_path_blocks(graph, nodes, radius), active, pending)
+        table.search(active, pending, radius)
         pending &= np.isinf(table.dist[-1])
         radius *= _GROWTH
         if pending.any():

@@ -11,11 +11,18 @@ on a cell's left or bottom edge belongs to that cell, and the grid extent is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_NODATA = -9999.0
+
+
+def require_count(name: str, k) -> None:
+    """Reject a count that is not a positive integer (bools included)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"{name} must be a positive integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -29,8 +36,8 @@ class GridGeometry:
     cellsize: float
 
     def __post_init__(self):
-        if self.ncols < 1 or self.nrows < 1:
-            raise ValueError(f"grid must have at least one cell, got {self.ncols}x{self.nrows}")
+        require_count("ncols", self.ncols)
+        require_count("nrows", self.nrows)
         if not (self.cellsize > 0) or not math.isfinite(self.cellsize):
             raise ValueError(f"cellsize must be a positive finite number, got {self.cellsize}")
         if not (math.isfinite(self.xll) and math.isfinite(self.yll)):

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata, spearmanr
 
-from .pathdist import require_count
 from .points import PointSet
-from .raster import RasterGrid
+from .raster import RasterGrid, require_count
 
 # largest n_pairs handled by the exact sign-flip distribution
 EXACT_LIMIT = 25
@@ -164,6 +163,8 @@ def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:
         raise ValueError("a and b must be equal-length 1-d sequences")
     if len(a) < 2:
         raise ValueError("need at least 2 pairs")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("a and b must be finite")
     if method not in ("auto", "exact", "approx"):
         raise ValueError(f"unknown method {method!r}")
 

@@ -19,11 +19,11 @@ from pathidw import (
     idw_estimate,
     interpolate_idw,
     interpolate_ipdw,
+    nearest_sources,
     snapped_sources,
 )
 from pathidw import interpolate, pathdist
 from pathidw.interpolate import _estimate, _straight_line_sources
-from pathidw.pathdist import neighbor_table
 
 
 def surface(values, cellsize=60.0):
@@ -39,9 +39,20 @@ def points(xyv):
 
 
 def table(dist, config):
-    """``neighbor_table`` over a dense (sources, targets) distance matrix."""
-    return neighbor_table(lambda part: dist[part], *dist.shape, k=config.n_nearest,
-                          max_distance=config.max_distance)
+    """Reference table over a dense (sources, targets) distance matrix.
+
+    Nearest-n with more than n sources keeps each column's n nearest by a
+    stable sort, so ties go to the earlier source. Otherwise rows are the
+    sources in order, cleared beyond ``max_distance``, and the sources are
+    the (sources, 1) column 0, 1, .... Returns (distances, sources).
+    """
+    src = np.arange(len(dist))[:, None]
+    if config.mode == "within":
+        dist = np.where(dist <= config.max_distance, dist, np.inf)
+    if config.mode == "nearest" and len(dist) > config.n_nearest:
+        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
+        dist = np.take_along_axis(dist, src, axis=0)
+    return dist, src
 
 
 def estimate_dense(dist, values, config):
@@ -148,6 +159,12 @@ class TestIdwEstimate:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             idw_estimate([(-1.0, 0.0)], InterpConfig.all_points())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        for config in (InterpConfig.all_points(), InterpConfig.nearest(1)):
+            with pytest.raises(ValueError, match="finite"):
+                idw_estimate([(1.0, bad), (2.0, 1.0)], config)
 
     @given(
         pairs=st.lists(
@@ -400,18 +417,24 @@ class TestEstimateColumns:
 
     def test_rows_keep_source_order_unless_nearest_n_trims(self):
         # The estimator sums in row order, so the order fixes the last bits.
-        dist = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, np.inf]])
-        values = np.array([1.0, 2.0, 3.0])
-        for config in (InterpConfig.all_points(), InterpConfig.nearest(3)):
-            d, src = table(dist, config)
-            assert np.array_equal(d, dist)
-            assert src.tolist() == [[0, 0], [1, 1], [2, -1]]
-        d, src = table(dist, InterpConfig.within(2.5))
-        assert np.array_equal(d, np.where(dist <= 2.5, dist, np.inf))
-        assert src[:, 0].tolist() == [-1, 1, 2]
-        d, src = table(dist, InterpConfig.nearest(2))
-        assert d.tolist() == [[1.0, 1.0], [2.0, 2.0]]
-        assert values[src].tolist() == [[2.0, 1.0], [3.0, 2.0]]
+        # On one row of water both engines give the same whole distances;
+        # cell 1 is 60 m from sources 1 and 2, a tie.
+        cost = surface(np.ones((1, 4)))
+        cells = [(0, 3), (0, 0), (0, 2)]
+        dense = np.array([[180.0, 120.0, 60.0, 0.0],
+                          [0.0, 60.0, 120.0, 180.0],
+                          [120.0, 60.0, 0.0, 60.0]])
+        for engine in (nearest_sources, _straight_line_sources):
+            for kwargs in ({}, {"k": 3}):
+                dist, src = engine(cost, cells, **kwargs)
+                assert np.array_equal(dist, dense)
+                assert src.tolist() == [[0], [1], [2]]
+            dist, src = engine(cost, cells, max_distance=60.0)
+            assert np.array_equal(dist, np.where(dense <= 60.0, dense, np.inf))
+            assert src.tolist() == [[0], [1], [2]]
+            dist, src = engine(cost, cells, k=2)
+            assert dist.tolist() == [[0.0, 60.0, 0.0, 0.0], [120.0, 60.0, 60.0, 60.0]]
+            assert src.tolist() == [[1, 1, 2, 0], [2, 2, 0, 2]]
 
     def test_zero_distance_column(self):
         dist = np.array([[0.0, 3.0], [1.0, 4.0]])
@@ -442,12 +465,7 @@ def dense_idw(pts, geometry, config, mask=None):
     rows, cols = np.array(cells).T
     dist = np.hypot(cx[water][None, :] - cx[rows, cols][:, None],
                     cy[water][None, :] - cy[rows, cols][:, None])
-    src = np.broadcast_to(np.arange(len(dist))[:, None], dist.shape)
-    if config.mode == "within":
-        dist = np.where(dist <= config.max_distance, dist, np.inf)
-    if config.mode == "nearest" and len(dist) > config.n_nearest:
-        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
-        dist = np.take_along_axis(dist, src, axis=0)
+    dist, src = table(dist, config)
     est, has = _estimate(dist, values[src], config)
     out = np.full(geometry.n_cells, -9999.0)
     out[np.flatnonzero(water.ravel())[has]] = est[has]
@@ -457,12 +475,16 @@ def dense_idw(pts, geometry, config, mask=None):
 def assert_idw_matches_dense(pts, geometry, config, mask=None):
     (ref_d, ref_s), ref_raster = dense_idw(pts, geometry, config, mask)
     cost = mask if mask is not None else CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
-    dist, src = _straight_line_sources(cost, snapped_sources(pts, cost=cost)[0],
-                                       k=config.n_nearest, max_distance=config.max_distance)
+    cells = snapped_sources(pts, cost=cost)[0]
+    dist, src = _straight_line_sources(cost, cells, k=config.n_nearest,
+                                       max_distance=config.max_distance)
     assert np.array_equal(dist, ref_d)
-    found = np.isfinite(dist)
-    assert np.array_equal(src[found], ref_s[found])
-    assert (src[~found] == -1).all()
+    if config.mode == "nearest" and len(cells) > config.n_nearest:
+        found = np.isfinite(dist)
+        assert np.array_equal(src[found], ref_s[found])
+        assert (src[~found] == -1).all()
+    else:
+        assert np.array_equal(src, ref_s)
     assert np.array_equal(interpolate_idw(pts, geometry, config, mask=mask).values, ref_raster)
 
 

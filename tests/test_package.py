@@ -2,7 +2,8 @@ import dataclasses
 
 import pathidw
 
-REMOVED = ("DistanceField", "distance_field", "fields_for_cells", "distances_to_points")
+REMOVED = ("DistanceField", "distance_field", "fields_for_cells", "distances_to_points",
+           "neighbor_table")
 
 
 def test_every_exported_name_resolves():

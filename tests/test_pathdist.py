@@ -58,7 +58,7 @@ def relax_field(cost, source, edges=None):
 def fields(cost, cells):
     """``nearest_sources`` rows for ``cells`` scattered onto the grid, inf off water."""
     dist, src = nearest_sources(cost, cells)
-    assert np.array_equal(src, np.where(np.isinf(dist), -1, np.arange(len(dist))[:, None]))
+    assert np.array_equal(src, np.arange(len(dist))[:, None])
     out = np.full((len(dist), cost.geometry.nrows, cost.geometry.ncols), np.inf)
     out[:, cost.is_water] = dist
     return out
@@ -234,7 +234,8 @@ class TestFieldsForCells:
 
     def test_empty_input(self):
         dist, src = nearest_sources(water(2, 2), [])
-        assert dist.shape == src.shape == (0, 4)
+        assert dist.shape == (0, 4)
+        assert src.shape == (0, 1)
 
     def test_validates_every_cell(self):
         with pytest.raises(ValueError):
@@ -362,7 +363,8 @@ def dense_reference(cost, pts, config):
     Each source's in-water distances come from ``oracles.relax_distances``
     on the grid with land set to nodata. The table is selected here:
     nearest-n with more than n sources keeps each column's n nearest by a
-    stable sort, otherwise rows are the sources in input order. The raster
+    stable sort, otherwise rows are the sources in input order and the
+    sources are the (sources, 1) column 0, 1, .... The raster
     is the shared estimator over that table, whose arithmetic
     test_interpolate.py checks against ``oracles.shepard_direct``.
     Returns ((distances, sources), raster values).
@@ -372,7 +374,7 @@ def dense_reference(cost, pts, config):
     edges = oracles.grid_edges(land_masked(cost), cost.raster.nodata, cost.water_cost,
                                cost.geometry.cellsize)
     dist = np.array([relax_field(cost, cell, edges).ravel()[water_flat] for cell in cells])
-    src = np.broadcast_to(np.arange(len(dist))[:, None], dist.shape)
+    src = np.arange(len(dist))[:, None]
     if config.mode == "within":
         dist = np.where(dist <= config.max_distance, dist, np.inf)
     if config.mode == "nearest" and len(dist) > config.n_nearest:
@@ -390,9 +392,12 @@ def assert_matches_dense(cost, pts, config):
     dist, src = nearest_sources(cost, cells, k=config.n_nearest,
                                 max_distance=config.max_distance)
     assert np.array_equal(dist, ref_d)
-    found = np.isfinite(dist)
-    assert np.array_equal(src[found], ref_s[found])
-    assert (src[~found] == -1).all()
+    if config.mode == "nearest" and len(cells) > config.n_nearest:
+        found = np.isfinite(dist)
+        assert np.array_equal(src[found], ref_s[found])
+        assert (src[~found] == -1).all()
+    else:
+        assert np.array_equal(src, ref_s)
     assert np.array_equal(interpolate_ipdw(pts, cost, config).values, ref_raster)
 
 
@@ -475,7 +480,7 @@ class TestNearestSources:
         pts = points_on_cells(cost, [(0, 0), (0, 11)], np.random.default_rng(1))
         config = InterpConfig.within(3 * CS)
         dist, src = nearest_sources(cost, [(0, 0), (0, 11)], max_distance=3 * CS)
-        assert dist[0, 3] == 3 * CS and src[0, 3] == 0
+        assert dist[0, 3] == 3 * CS and src[0, 0] == 0
         assert np.isinf(dist[:, 4]).all()
         assert_matches_dense(cost, pts, config)
         out = interpolate_ipdw(pts, cost, config)

@@ -75,6 +75,11 @@ class TestGridGeometry:
             GridGeometry(ncols=0, nrows=2, xll=0.0, yll=0.0, cellsize=1.0)
         with pytest.raises(ValueError):
             GridGeometry(ncols=2, nrows=-1, xll=0.0, yll=0.0, cellsize=1.0)
+        for bad in (2.5, True, 3.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                GridGeometry(ncols=bad, nrows=2, xll=0.0, yll=0.0, cellsize=1.0)
+            with pytest.raises(ValueError, match="positive integer"):
+                GridGeometry(ncols=2, nrows=bad, xll=0.0, yll=0.0, cellsize=1.0)
         with pytest.raises(ValueError):
             GridGeometry(ncols=2, nrows=2, xll=0.0, yll=0.0, cellsize=0.0)
         with pytest.raises(ValueError):

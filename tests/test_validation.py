@@ -205,6 +205,11 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2.0], [2.0, 3.0], method="bogus")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                wilcoxon_signed_rank([1.0, bad, 3.0], [0.5, 1.0, 2.0])
+            with pytest.raises(ValueError, match="finite"):
+                wilcoxon_signed_rank([0.5, 1.0, 2.0], [1.0, bad, 3.0])
 
     def test_exact_matches_enumeration_with_ties(self):
         diffs = np.array([1.0, -1.0, 2.0, 2.0, -3.0, 0.5, 4.0])
