@@ -16,6 +16,14 @@ water cell is the same, bit for bit, on the water-only move graph.
 reachable means connected through water however long the route, and bounds
 each source's Dijkstra by a radius that it widens only for the cells still
 short of neighbors.
+
+Land splits the water into components that no route joins, and the
+nearest-k search takes them one at a time. It numbers the water nodes by
+(component, row-major), so that each component is one contiguous node
+range, and every Dijkstra call runs on one range with some of that
+component's sources. Each table column lies in one component, and that
+component's sources reach it in ascending order. So a stable merge keeps
+equal distances in source order, as one search over all sources would.
 """
 
 from __future__ import annotations
@@ -77,8 +85,8 @@ def move_graph(cost: CostSurface) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (rows, cols)), shape=(nr * nc, nr * nc))
 
 
-# sources per Dijkstra call: a chunk's (sources x water cells) block is the
-# search's largest temporary next to the neighbor table itself
+# sources per Dijkstra call: a chunk's (sources x component cells) block is
+# the search's largest temporary next to the neighbor table itself
 _CHUNK = 32
 # radius factor per retry: on the plume benchmark scene the first pass
 # certifies 99.7% of cells and one retry at 1.5x the rest; doubling makes
@@ -95,38 +103,66 @@ _BOUND_SLACK = 1e-9
 class _NeighborTable:
     """Running per-cell table of the k nearest path labels, merged chunk by chunk.
 
-    ``dist`` and ``src`` are (k, water cells); an empty slot holds an inf
-    distance, and ``result`` gives it source -1. Each column is ordered by
-    (distance, source index).
+    ``dist`` and ``src`` are (k, water cells), columns in row-major order;
+    an empty slot holds an inf distance, and ``result`` gives it source -1.
+    Each column is ordered by (distance, source index).
+
+    The water nodes are relabelled once by (component, row-major):
+    component c is the node range ``bounds[c]:bounds[c + 1]``, and
+    ``order[a:b]`` are its table columns. No move leaves a component, so a
+    Dijkstra call runs on its range's rows alone, renumbered from 0. The
+    tie rule rests on one component per column and ascending sources
+    within it: a stable sort keeps equal labels in the order they came,
+    and a label that only ties the k-th loses to the earlier source.
     """
 
-    def __init__(self, graph, nodes, k: int):
-        self.graph, self.nodes = graph, nodes
-        self.dist = np.full((k, graph.shape[0]), np.inf)
-        self.src = np.full((k, graph.shape[0]), -1)
+    def __init__(self, graph, nodes, comp, k: int):
+        n = graph.shape[0]
+        self.order = np.argsort(comp, kind="stable")
+        self.bounds = np.searchsorted(comp[self.order], np.arange(comp.max() + 2))
+        # each node's number within its component's range
+        local = np.empty_like(self.order)
+        local[self.order] = np.arange(n) - self.bounds[comp[self.order]]
+        relabelled = graph[self.order]
+        self.data, self.indptr = relabelled.data, relabelled.indptr
+        self.indices = local[relabelled.indices].astype(relabelled.indices.dtype)
+        self.src_comp = comp[nodes]
+        self.local = local[nodes]
+        self.dist = np.full((k, n), np.inf)
+        self.src = np.full((k, n), -1)
 
     def search(self, ids, columns, limit=np.inf):
-        """Refill ``columns`` by Dijkstra within ``limit`` from ``_CHUNK`` of ``ids`` at a time.
+        """Refill ``columns`` by Dijkstra within ``limit`` from ``ids``, one component at a time.
 
-        The columns are cleared first and ``ids`` ascend, so a stable sort
-        keeps ties in source order. Columns merge ``_TILE`` at a time.
+        The columns are cleared first. Each call takes up to ``_CHUNK`` of
+        one component's ``ids`` in ascending order and merges that
+        component's columns, ``_TILE`` at a time.
         """
         self.dist[:, columns] = np.inf
-        for lo in range(0, len(ids), _CHUNK):
-            part = ids[lo:lo + _CHUNK]
-            block = csgraph.dijkstra(self.graph, directed=True, indices=self.nodes[part],
-                                     limit=limit)
-            # a label must beat the column's k-th: a tie loses to the earlier
-            # source already there
-            cols = np.flatnonzero(columns & (block.min(axis=0) < self.dist[-1]))
-            for tile in range(0, len(cols), _TILE):
-                self._merge(block, part, cols[tile:tile + _TILE], first=lo == 0)
+        comps = self.src_comp[ids]
+        for c in np.unique(comps):
+            group = ids[comps == c]
+            a, b = self.bounds[c], self.bounds[c + 1]
+            lo, hi = self.indptr[a], self.indptr[b]
+            graph = sparse.csr_matrix(
+                (self.data[lo:hi], self.indices[lo:hi], self.indptr[a:b + 1] - lo),
+                shape=(b - a, b - a))
+            span = self.order[a:b]
+            for at in range(0, len(group), _CHUNK):
+                part = group[at:at + _CHUNK]
+                block = csgraph.dijkstra(graph, directed=True, indices=self.local[part],
+                                         limit=limit)
+                # a label must beat the column's k-th: a tie loses to the
+                # earlier source already there
+                cols = np.flatnonzero(columns[span] & (block.min(axis=0) < self.dist[-1, span]))
+                for tile in range(0, len(cols), _TILE):
+                    sel = cols[tile:tile + _TILE]
+                    self._merge(block[:, sel], part, span[sel], first=at == 0)
 
-    def _merge(self, block, part, cols, first):
-        d = block[:, cols]
+    def _merge(self, d, part, cols, first):
         s = np.broadcast_to(part[:, None], d.shape)
-        # on a search's first chunk every slot is empty, and the block sorted
-        # on its own gives the same labels: empty slots only ever hold inf
+        # on a component's first chunk every slot is empty, and the block
+        # sorted on its own gives the same labels: empty slots only hold inf
         if not first:
             d = np.concatenate([self.dist[:, cols], d])
             s = np.concatenate([self.src[:, cols], s])
@@ -188,8 +224,8 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
 
 def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     n_water, n_src = graph.shape[0], len(nodes)
-    table = _NeighborTable(graph, nodes, k)
     _, comp = csgraph.connected_components(graph, directed=False)
+    table = _NeighborTable(graph, nodes, comp, k)
     src_comp = comp[nodes]
     per_comp = np.bincount(src_comp, minlength=comp.max() + 1)
     comp_cells = np.bincount(comp)

@@ -147,10 +147,6 @@ class RasterGrid:
     def is_nodata(self) -> np.ndarray:
         return self.values == self.nodata
 
-    def with_values(self, values) -> "RasterGrid":
-        """New raster on the same geometry and nodata sentinel."""
-        return RasterGrid(self.geometry, values, self.nodata)
-
     def __repr__(self):
         g = self.geometry
         return (f"RasterGrid({g.nrows}x{g.ncols}, cellsize={g.cellsize}, "

@@ -428,6 +428,41 @@ def check_random_grid(data):
     assert_matches_dense(cost, pts, config)
 
 
+def four_basins():
+    """Walls sealing four basins holding 0, 2, 12 and 30 points: (cost, points).
+
+    The basins have 56 (top right), 49, 56 and 64 water cells.
+    """
+    vals = np.ones((16, 16))
+    vals[7, :] = 10000.0
+    vals[:, 7] = 10000.0
+    cost = surface(vals)
+    rng = np.random.default_rng(2)
+    cells = [(int(r), int(c)) for r, c in
+             [*rng.integers(0, 7, (2, 2)),
+              *(rng.integers(0, 7, (12, 2)) + [8, 0]),
+              *(rng.integers(0, 7, (30, 2)) + [8, 8])]]
+    return cost, points_on_cells(cost, cells, rng)
+
+
+def ponds():
+    """40 one-cell ponds above an open basin of 96 cells: (cost, points).
+
+    Land surrounds every pond, so even diagonals cannot leave it. 34
+    ponds hold one point each and the basin holds 20, in shuffled order.
+    """
+    vals = np.full((16, 16), 10000.0)
+    vals[0:9:2, 0::2] = 1.0
+    vals[10:, :] = 1.0
+    cost = surface(vals)
+    rng = np.random.default_rng(5)
+    pond_cells = [(r, c) for r in range(0, 9, 2) for c in range(0, 16, 2)]
+    cells = [pond_cells[i] for i in rng.choice(len(pond_cells), size=34, replace=False)]
+    cells += [(10 + i // 16, i % 16) for i in rng.choice(96, size=20, replace=False)]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    return cost, points_on_cells(cost, cells, rng)
+
+
 def corner_scene(water_cost):
     """A 30x30 water grid and 20 points in its 5x5 corner: (cost, points)."""
     cost = CostSurface(RasterGrid(GridGeometry(30, 30, 0.0, 0.0, CS),
@@ -491,20 +526,43 @@ class TestNearestSources:
         InterpConfig.nearest(1), InterpConfig.nearest(3), InterpConfig.nearest(10),
         InterpConfig.within(400.0), InterpConfig.all_points()])
     def test_basins_with_fewer_than_k_sources(self, config):
-        # Walls seal four basins holding 0, 2, 12 and 30 sources.
-        vals = np.ones((16, 16))
-        vals[7, :] = 10000.0
-        vals[:, 7] = 10000.0
-        cost = surface(vals)
-        rng = np.random.default_rng(2)
-        cells = [(int(r), int(c)) for r, c in
-                 [*rng.integers(0, 7, (2, 2)),
-                  *(rng.integers(0, 7, (12, 2)) + [8, 0]),
-                  *(rng.integers(0, 7, (30, 2)) + [8, 8])]]
-        pts = points_on_cells(cost, cells, rng)
+        cost, pts = four_basins()
         assert_matches_dense(cost, pts, config)
         out = interpolate_ipdw(pts, cost, config)
         assert out.is_nodata[:7, 8:].all()
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @pytest.mark.parametrize("scene", [four_basins, ponds])
+    @pytest.mark.parametrize("config", [
+        InterpConfig.nearest(1), InterpConfig.nearest(3), InterpConfig.nearest(10)])
+    def test_small_chunks_match_dense_reference(self, scene, chunk, config, monkeypatch):
+        # Chunks smaller than most components' source counts split each
+        # component's search, both whole and bounded by a radius.
+        monkeypatch.setattr(pathdist, "_CHUNK", chunk)
+        assert_matches_dense(*scene(), config)
+
+    @pytest.mark.parametrize("scene", [four_basins, ponds])
+    @pytest.mark.parametrize("k", [1, 3, None])
+    def test_tables_are_c_contiguous(self, scene, k):
+        cost, pts = scene()
+        dist, src = nearest_sources(cost, snapped_sources(pts, cost=cost)[0], k=k)
+        assert dist.flags.c_contiguous and src.flags.c_contiguous
+
+    def test_each_search_runs_on_one_basin(self, monkeypatch):
+        cost, pts = four_basins()
+        cells, _ = snapped_sources(pts, cost=cost)
+        sizes = []
+        real = pathdist.csgraph.dijkstra
+
+        def spy(graph, *args, **kwargs):
+            sizes.append(graph.shape[0])
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
+        for k in (1, 3, 10):
+            nearest_sources(cost, cells, k=k)
+        # the source-free top-right basin (56 cells) is never searched
+        assert set(sizes) == {49, 56, 64}
 
     @pytest.mark.parametrize("water_cost", [1.0, 0.5])
     def test_sources_in_one_corner_widen_the_radius(self, water_cost, monkeypatch):

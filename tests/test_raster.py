@@ -159,11 +159,3 @@ class TestRasterGrid:
         grid = RasterGrid.full(self.geom(), 7.5)
         assert np.all(grid.values == 7.5)
         assert grid.nodata == DEFAULT_NODATA
-
-    def test_with_values_keeps_geometry_and_nodata(self):
-        grid = RasterGrid.full(self.geom(), 0.0, nodata=-5.0)
-        other = grid.with_values(np.full((2, 3), 9.0))
-        assert other.geometry == grid.geometry
-        assert other.nodata == -5.0
-        assert np.all(other.values == 9.0)
-        assert np.all(grid.values == 0.0)
