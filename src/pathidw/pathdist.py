@@ -1,21 +1,16 @@
-"""Accumulated least-cost path distances over a cost surface.
+"""Accumulated least-cost path distances through water.
 
-Movement is 8-connected between cell centers. A move between adjacent cells
-i and j costs ``(cost_i + cost_j) / 2 * cellsize * m`` meters, where m is 1
-for rook moves and sqrt(2) for diagonals, so distances reduce to plain
-center-to-center polyline length on uniform unit-cost water. Nodata cells
-cannot be entered, and a diagonal move is forbidden when both orthogonal
-cells flanking it are blocked (land or nodata): two land cells touching at a
-corner form a watertight wall.
-
-Interpolation needs only each water cell's nearest sources, and only
-through water. Any route that enters land costs at least
-``(land_cost + water_cost) * cellsize``, so below that the distance to a
-water cell is the same, bit for bit, on the water-only move graph.
-``nearest_sources`` therefore searches the water-only graph, where
-reachable means connected through water however long the route, and bounds
-each source's Dijkstra by a radius that it widens only for the cells still
-short of neighbors.
+Interpolation needs each water cell's nearest sources through water only,
+so the move graph holds the water cells alone. Movement is 8-connected
+between their centers, and a move costs ``water_cost * cellsize * m``
+meters, where m is 1 for rook moves and sqrt(2) for diagonals, so
+distances reduce to plain center-to-center polyline length on unit-cost
+water. A diagonal move also needs one of the two orthogonal cells flanking
+it to be water: two land or nodata cells touching at a corner form a
+watertight wall. A source therefore reaches a water cell when the two are
+connected through water, however long the route. ``nearest_sources``
+bounds each source's Dijkstra by a radius that it widens only for the
+cells still short of neighbors.
 
 Land splits the water into components that no route joins, and the
 nearest-k search takes them one at a time. It numbers the water nodes by
@@ -29,6 +24,7 @@ equal distances in source order, as one search over all sources would.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy import sparse
@@ -47,42 +43,32 @@ _MOVES = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.
 
 
 def move_graph(cost: CostSurface) -> sparse.csr_matrix:
-    """Sparse symmetric move graph over the cost surface, cells in row-major order."""
+    """Sparse symmetric move graph over the water cells, numbered in row-major order."""
     geom = cost.geometry
     nr, nc = geom.nrows, geom.ncols
-    vals = cost.raster.values
-    traversable = ~cost.raster.is_nodata
-    blocked = ~cost.is_water  # land or nodata: blocks corner cutting
-    index = np.arange(nr * nc).reshape(nr, nc)
+    water = cost.is_water
+    index = np.cumsum(water.ravel()).reshape(nr, nc) - 1
+    step = cost.water_cost * geom.cellsize
 
     rows, cols, data = [], [], []
     for dr, dc, mult in _MOVES:
-        if nr <= dr or nc <= abs(dc):
-            continue
+        # on a one-row or one-column grid some of these slices are empty
         c_lo, c_hi = max(0, -dc), nc - max(0, dc)
         a = (slice(0, nr - dr), slice(c_lo, c_hi))
         b = (slice(dr, nr), slice(c_lo + dc, c_hi + dc))
-        ok = traversable[a] & traversable[b]
+        ok = water[a] & water[b]
         if dr and dc:
-            flank1 = blocked[slice(dr, nr), slice(c_lo, c_hi)]          # (r+dr, c)
-            flank2 = blocked[slice(0, nr - dr), slice(c_lo + dc, c_hi + dc)]  # (r, c+dc)
-            ok &= ~(flank1 & flank2)
-        w = 0.5 * (vals[a] + vals[b])
-        w = w * geom.cellsize
-        w = w * mult
-        ia, ib, ww = index[a][ok], index[b][ok], w[ok]
+            # one flank, (r+dr, c) or (r, c+dc), must be water
+            ok &= water[dr:nr, c_lo:c_hi] | water[0:nr - dr, c_lo + dc:c_hi + dc]
+        ia, ib = index[a][ok], index[b][ok]
+        w = np.full(len(ia), step * mult)
         rows.extend((ia, ib))
         cols.extend((ib, ia))
-        data.extend((ww, ww))
+        data.extend((w, w))
 
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    else:
-        rows = cols = np.empty(0, dtype=int)
-        data = np.empty(0)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(nr * nc, nr * nc))
+    n = int(water.sum())
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
 # sources per Dijkstra call: a chunk's (sources x component cells) block is
@@ -183,7 +169,6 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     Returns ``(distances, sources)`` with water cells in row-major order as
     columns; a source reaches a water cell when the two are connected
     through water, and an inf distance marks a slot with no source.
-    Distances equal a full-grid Dijkstra bit for bit.
 
     With ``k`` set and below the number of sources, both are (k, water
     cells): column t lists the k nearest sources of water cell t, ordered by
@@ -206,15 +191,19 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
         raise ValueError("choose one of k and max_distance")
     if k is not None:
         require_count("k", k)
+    if max_distance is not None and not max_distance >= 0:
+        raise ValueError(f"max_distance must be non-negative, got {max_distance!r}")
     geom = cost.geometry
     water = cost.is_water
     cells = [tuple(c) for c in cells]
     for r, c in cells:
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (r, c)):
+            raise ValueError(f"source cell {(r, c)} must be a pair of integers")
         if not (0 <= r < geom.nrows and 0 <= c < geom.ncols) or not water[r, c]:
             raise ValueError(f"source cell {(r, c)} out of bounds or not water")
     water_flat = np.flatnonzero(water.ravel())
     nodes = np.searchsorted(water_flat, [r * geom.ncols + c for r, c in cells])
-    graph = move_graph(cost)[water_flat][:, water_flat]
+    graph = move_graph(cost)
     if k is not None and k < len(nodes):
         return _search_nearest(graph, nodes, k, cost, water_flat)
     limit = np.inf if max_distance is None else max_distance

@@ -53,9 +53,8 @@ class SyntheticScene:
     def geometry(self) -> GridGeometry:
         return self.truth.geometry
 
-    def cost(self, *, water_cost: float = 1.0, land_cost: float = 10000.0) -> CostSurface:
-        return rasterize_land(self.polygons, self.geometry,
-                              water_cost=water_cost, land_cost=land_cost)
+    def cost(self) -> CostSurface:
+        return rasterize_land(self.polygons, self.geometry)
 
 
 def make_scene(kind: str, *, ncols: int = 100, nrows: int = 100,

@@ -51,8 +51,9 @@ def grid_edges(values, nodata, water_cost, cellsize):
                 diagonal = dr != 0 and dc != 0
                 if diagonal and not water[r, c2] and not water[r2, c]:
                     continue
-                # Same operation order as the production edge weights so the
-                # comparison can demand bit-exact equality.
+                # Between two water cells 0.5 * (wc + wc) is wc exactly, so
+                # this is the production weight (water_cost * cellsize) * m
+                # bit for bit and comparisons can demand exact equality.
                 w = 0.5 * (vals[r, c] + vals[r2, c2])
                 w = w * cellsize
                 w = w * (SQRT2 if diagonal else 1.0)

@@ -150,6 +150,14 @@ class TestDistanceField:
         for k in (2.5, True):
             with pytest.raises(ValueError, match="positive integer"):
                 nearest_sources(cost, [(0, 0)], k=k)
+        for limit in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="max_distance"):
+                nearest_sources(cost, [(0, 0)], max_distance=limit)
+        with pytest.raises(ValueError, match="integers"):
+            nearest_sources(cost, [(0.5, 0)])
+        # the limit is inclusive, so 0 keeps each source's own cell
+        dist, _ = nearest_sources(cost, [(0, 0)], max_distance=0)
+        assert np.array_equal(dist, [[0.0, np.inf, np.inf, np.inf]])
 
     def test_source_distance_zero_and_reachable(self):
         cost = water(3, 3)
@@ -217,10 +225,28 @@ class TestMoveGraph:
         cost = surface(vals)
         g = move_graph(cost).tocoo()
         got = {(int(r), int(c)): float(w) for r, c, w in zip(g.row, g.col, g.data)}
+        # the oracle numbers cells over the whole grid; the graph numbers water cells
+        node = {int(cell): i for i, cell in enumerate(np.flatnonzero(cost.is_water.ravel()))}
         expect = {}
-        for u, v, w in oracles.grid_edges(vals, -9999.0, 1.0, CS):
-            expect[(u, v)] = w
+        for u, v, w in oracles.grid_edges(land_masked(cost), -9999.0, 1.0, CS):
+            expect[(node[u], node[v])] = w
+        assert g.shape == (len(node), len(node))
         assert got == expect
+
+    def test_nodes_are_water_cells_and_land_pinch_blocks_diagonal(self):
+        land, nodata, d = 10000.0, -9999.0, CS * math.sqrt(2.0)
+        # water nodes in row-major order: 0 (0, 0), 1 (0, 2), 2 (1, 1),
+        # 3 (1, 2), 4 (2, 1), 5 (2, 2); (0, 0)-(1, 1) crosses the land pinch
+        cost = surface(np.array([[1.0, land, 1.0],
+                                 [land, 1.0, 1.0],
+                                 [nodata, 1.0, 1.0]]))
+        expect = np.zeros((6, 6))
+        for u, v, w in [(1, 3, CS), (1, 2, d), (2, 3, CS), (2, 4, CS), (2, 5, d),
+                        (3, 5, CS), (3, 4, d), (4, 5, CS)]:
+            expect[u, v] = expect[v, u] = w
+        g = move_graph(cost)
+        assert g.shape == (6, 6)
+        assert np.array_equal(g.toarray(), expect)
 
 
 class TestFieldsForCells:
