@@ -31,15 +31,17 @@ from .fileio import (read_ascii_grid, read_error_report, read_points,
 from .interpolate import InterpConfig, interpolate_idw, interpolate_ipdw
 from .metrics import knee_candidate, scalogram
 from .pathdist import DEFAULT_SNAP_RADIUS
-from .raster import GridGeometry
+from .raster import DEFAULT_NODATA, GridGeometry
 from .scenes import SCENE_KINDS, make_scene
 from .validation import cross_validate, grid_split, range_vs_error, \
     wilcoxon_signed_rank
 
+_DEFAULT_CONFIG = InterpConfig()
 _VERSION_TEXT = (
     f"pathidw {__version__}\n"
-    f"defaults: power=2.0 neighbors=10 water-cost={DEFAULT_WATER_COST:g} "
-    f"land-cost={DEFAULT_LAND_COST:g} snap-radius={DEFAULT_SNAP_RADIUS} nodata=-9999"
+    f"defaults: power={_DEFAULT_CONFIG.power} neighbors={_DEFAULT_CONFIG.n_nearest} "
+    f"water-cost={DEFAULT_WATER_COST:g} land-cost={DEFAULT_LAND_COST:g} "
+    f"snap-radius={DEFAULT_SNAP_RADIUS} nodata={DEFAULT_NODATA:g}"
 )
 
 
@@ -96,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ipdw", "idw"), required=True)
     p.add_argument("--train", required=True, help="training CSV")
     p.add_argument("--cost", required=True, help="cost raster (ASCII grid)")
-    p.add_argument("--power", type=float, default=2.0)
-    p.add_argument("--neighbors", type=int, default=10)
+    p.add_argument("--power", type=float, default=_DEFAULT_CONFIG.power)
+    p.add_argument("--neighbors", type=int, default=_DEFAULT_CONFIG.n_nearest)
     p.add_argument("--out", required=True, help="output ASCII grid")
     p.set_defaults(func=_cmd_interpolate)
 

@@ -137,8 +137,7 @@ class CostSurface:
 
 def rasterize_land(polygons: PolygonSet, geometry: GridGeometry, *,
                    water_cost: float = DEFAULT_WATER_COST,
-                   land_cost: float = DEFAULT_LAND_COST,
-                   nodata: float = DEFAULT_NODATA) -> CostSurface:
+                   land_cost: float = DEFAULT_LAND_COST) -> CostSurface:
     """Burn land polygons into a cost surface over ``geometry``.
 
     Each cell is classified by its center point: land when the center falls
@@ -148,7 +147,7 @@ def rasterize_land(polygons: PolygonSet, geometry: GridGeometry, *,
     cx, cy = geometry.cell_centers()
     land = polygons.contains(cx, cy)
     values = np.where(land, land_cost, water_cost)
-    return CostSurface(RasterGrid(geometry, values, nodata), water_cost, land_cost)
+    return CostSurface(RasterGrid(geometry, values, DEFAULT_NODATA), water_cost, land_cost)
 
 
 def reclassify(classes: RasterGrid, water_class_value: float, *,

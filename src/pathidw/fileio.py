@@ -14,7 +14,7 @@ import numpy as np
 
 from .costsurface import PolygonSet
 from .errors import FormatError, PolygonError
-from .metrics import Scalogram
+from .metrics import EDGE_DENSITY_METRIC, Scalogram
 from .points import PointSet
 from .raster import GridGeometry, RasterGrid
 from .validation import ErrorReport, PairedTestResult
@@ -322,7 +322,7 @@ def write_paired_test(result: PairedTestResult, path, *, metadata: dict | None =
 
 
 def write_scalogram(s: Scalogram, path, *, metadata: dict | None = None):
-    meta = {"report": "scalogram", "metric": s.metric_name}
+    meta = {"report": "scalogram", "metric": EDGE_DENSITY_METRIC}
     meta.update(metadata or {})
     rows = (f"{_fmt(cs)},{float(val)!r}" for cs, val in s.rows)
-    write_csv_table(path, meta, f"cellsize,{s.metric_name}", rows)
+    write_csv_table(path, meta, f"cellsize,{EDGE_DENSITY_METRIC}", rows)

@@ -36,7 +36,7 @@ from scipy.spatial import cKDTree
 from . import pathdist
 from .costsurface import DEFAULT_WATER_COST, CostSurface
 from .errors import ConsistencyError
-from .pathdist import DEFAULT_SNAP_RADIUS, nearest_sources, snap_points
+from .pathdist import nearest_sources, snap_points
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid, require_count
 
@@ -126,16 +126,16 @@ def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
     return Prediction(float(est[0]), n_used, float(used.min()))
 
 
-def snapped_sources(points: PointSet, *, cost: CostSurface,
-                    snap_radius: int = DEFAULT_SNAP_RADIUS
+def snapped_sources(points: PointSet, *, cost: CostSurface
                     ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Snap measurements to water cells and average coincident ones.
 
-    Returns unique cells in first-seen order with their averaged values.
+    Points snap within ``DEFAULT_SNAP_RADIUS`` cells. Returns unique cells
+    in first-seen order with their averaged values.
     """
     if len(points) == 0:
         raise ValueError("no measurement points supplied")
-    cells = snap_points(cost, points, radius=snap_radius)
+    cells = snap_points(cost, points)
 
     grouped: dict[tuple[int, int], list[float]] = {}
     for cell, value in zip(cells, points.values):
@@ -196,8 +196,7 @@ def _estimate(dist: np.ndarray, vals: np.ndarray,
 
 
 def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, *,
-                     snap_radius: int = DEFAULT_SNAP_RADIUS, threads: int = 1,
-                     nodata: float = DEFAULT_NODATA) -> RasterGrid:
+                     threads: int = 1) -> RasterGrid:
     """Interpolate over water cells using in-water path distances.
 
     A source reaches a water cell when the two are connected through water,
@@ -206,13 +205,11 @@ def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, 
     reachable source, come back as nodata. ``threads`` is accepted for
     compatibility; the search runs in the calling thread.
     """
-    return _interpolate(nearest_sources, points, cost, config, snap_radius, nodata)
+    return _interpolate(nearest_sources, points, cost, config)
 
 
 def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConfig, *,
-                    mask: CostSurface | None = None,
-                    snap_radius: int = DEFAULT_SNAP_RADIUS,
-                    nodata: float = DEFAULT_NODATA) -> RasterGrid:
+                    mask: CostSurface | None = None) -> RasterGrid:
     """Interpolate using straight-line distances that ignore barriers.
 
     A mask only limits where measurements snap and which cells receive
@@ -223,7 +220,7 @@ def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConf
         mask = CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
     elif mask.geometry != geometry:
         raise ValueError("mask geometry differs from the requested output geometry")
-    return _interpolate(_straight_line_sources, points, mask, config, snap_radius, nodata)
+    return _interpolate(_straight_line_sources, points, mask, config)
 
 
 def _straight_line_sources(cost: CostSurface, cells, *, k: int | None = None,
@@ -273,14 +270,14 @@ def _kd_nearest(tx, ty, sx, sy, k: int) -> tuple[np.ndarray, np.ndarray]:
     return dist, src
 
 
-def _interpolate(engine, points: PointSet, cost: CostSurface, config: InterpConfig,
-                 snap_radius: int, nodata: float) -> RasterGrid:
+def _interpolate(engine, points: PointSet, cost: CostSurface,
+                 config: InterpConfig) -> RasterGrid:
     """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
-    cells, values = snapped_sources(points, cost=cost, snap_radius=snap_radius)
+    cells, values = snapped_sources(points, cost=cost)
     dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
     # Empty slots carry inf distances, so their values (src -1) go unused.
     est, has = _estimate(dist, values[src], config)
     geom = cost.geometry
-    out = np.full(geom.n_cells, nodata)
+    out = np.full(geom.n_cells, DEFAULT_NODATA)
     out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]
-    return RasterGrid(geom, out.reshape(geom.nrows, geom.ncols), nodata)
+    return RasterGrid(geom, out.reshape(geom.nrows, geom.ncols), DEFAULT_NODATA)

@@ -21,10 +21,9 @@ EDGE_DENSITY_METRIC = "edge_density_m_per_ha"
 
 @dataclass(frozen=True)
 class Scalogram:
-    """Metric values per cellsize, rows sorted by strictly increasing cellsize."""
+    """Edge density per cellsize, rows sorted by strictly increasing cellsize."""
 
     rows: tuple[tuple[float, float], ...]
-    metric_name: str = EDGE_DENSITY_METRIC
 
     def __post_init__(self):
         cellsizes = [r[0] for r in self.rows]

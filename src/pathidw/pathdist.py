@@ -8,17 +8,18 @@ distances reduce to plain center-to-center polyline length on unit-cost
 water. A diagonal move also needs one of the two orthogonal cells flanking
 it to be water: two land or nodata cells touching at a corner form a
 watertight wall. A source therefore reaches a water cell when the two are
-connected through water, however long the route. ``nearest_sources``
-bounds each source's Dijkstra by a radius that it widens only for the
-cells still short of neighbors.
+connected through water, however long the route.
 
-Land splits the water into components that no route joins, and the
-nearest-k search takes them one at a time. It numbers the water nodes by
-(component, row-major), so that each component is one contiguous node
-range, and every Dijkstra call runs on one range with some of that
-component's sources. Each table column lies in one component, and that
-component's sources reach it in ascending order. So a stable merge keeps
-equal distances in source order, as one search over all sources would.
+Land splits the water into components that no route joins. The nearest-k
+search numbers the water nodes and table columns by (component,
+row-major), so each component is one node range and column slice, and
+each Dijkstra call runs on one range with some of its component's
+sources. One loop certifies and widens: each pass clears the pending
+columns and refills them, searching small or sparsely sourced components
+unbounded and the rest within a radius that grows each pass. Each column
+lies in one component, whose sources reach it in ascending order, so a
+stable merge keeps equal distances in source order, as one search over
+all sources would.
 """
 
 from __future__ import annotations
@@ -86,80 +87,17 @@ _TILE = 2048
 _BOUND_SLACK = 1e-9
 
 
-class _NeighborTable:
-    """Running per-cell table of the k nearest path labels, merged chunk by chunk.
-
-    ``dist`` and ``src`` are (k, water cells), columns in row-major order;
-    an empty slot holds an inf distance, and ``result`` gives it source -1.
-    Each column is ordered by (distance, source index).
-
-    The water nodes are relabelled once by (component, row-major):
-    component c is the node range ``bounds[c]:bounds[c + 1]``, and
-    ``order[a:b]`` are its table columns. No move leaves a component, so a
-    Dijkstra call runs on its range's rows alone, renumbered from 0. The
-    tie rule rests on one component per column and ascending sources
-    within it: a stable sort keeps equal labels in the order they came,
-    and a label that only ties the k-th loses to the earlier source.
-    """
-
-    def __init__(self, graph, nodes, comp, k: int):
-        n = graph.shape[0]
-        self.order = np.argsort(comp, kind="stable")
-        self.bounds = np.searchsorted(comp[self.order], np.arange(comp.max() + 2))
-        # each node's number within its component's range
-        local = np.empty_like(self.order)
-        local[self.order] = np.arange(n) - self.bounds[comp[self.order]]
-        relabelled = graph[self.order]
-        self.data, self.indptr = relabelled.data, relabelled.indptr
-        self.indices = local[relabelled.indices].astype(relabelled.indices.dtype)
-        self.src_comp = comp[nodes]
-        self.local = local[nodes]
-        self.dist = np.full((k, n), np.inf)
-        self.src = np.full((k, n), -1)
-
-    def search(self, ids, columns, limit=np.inf):
-        """Refill ``columns`` by Dijkstra within ``limit`` from ``ids``, one component at a time.
-
-        The columns are cleared first. Each call takes up to ``_CHUNK`` of
-        one component's ``ids`` in ascending order and merges that
-        component's columns, ``_TILE`` at a time.
-        """
-        self.dist[:, columns] = np.inf
-        comps = self.src_comp[ids]
-        for c in np.unique(comps):
-            group = ids[comps == c]
-            a, b = self.bounds[c], self.bounds[c + 1]
-            lo, hi = self.indptr[a], self.indptr[b]
-            graph = sparse.csr_matrix(
-                (self.data[lo:hi], self.indices[lo:hi], self.indptr[a:b + 1] - lo),
-                shape=(b - a, b - a))
-            span = self.order[a:b]
-            for at in range(0, len(group), _CHUNK):
-                part = group[at:at + _CHUNK]
-                block = csgraph.dijkstra(graph, directed=True, indices=self.local[part],
-                                         limit=limit)
-                # a label must beat the column's k-th: a tie loses to the
-                # earlier source already there
-                cols = np.flatnonzero(columns[span] & (block.min(axis=0) < self.dist[-1, span]))
-                for tile in range(0, len(cols), _TILE):
-                    sel = cols[tile:tile + _TILE]
-                    self._merge(block[:, sel], part, span[sel], first=at == 0)
-
-    def _merge(self, d, part, cols, first):
-        s = np.broadcast_to(part[:, None], d.shape)
-        # on a component's first chunk every slot is empty, and the block
-        # sorted on its own gives the same labels: empty slots only hold inf
-        if not first:
-            d = np.concatenate([self.dist[:, cols], d])
-            s = np.concatenate([self.src[:, cols], s])
-        order = np.argsort(d, axis=0, kind="stable")[:len(self.dist)]
-        self.dist[:len(order), cols] = np.take_along_axis(d, order, axis=0)
-        self.src[:len(order), cols] = np.take_along_axis(s, order, axis=0)
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dist, src)``, with -1 in every empty slot."""
-        self.src[np.isinf(self.dist)] = -1
-        return self.dist, self.src
+def _merge(dist, src, d, part, cols, first):
+    """Merge the labels ``d`` of sources ``part`` into columns ``cols``, keeping the k first."""
+    s = np.broadcast_to(part[:, None], d.shape)
+    # on a component's first chunk every slot is empty, and the block
+    # sorted on its own gives the same labels: empty slots only hold inf
+    if not first:
+        d = np.concatenate([dist[:, cols], d])
+        s = np.concatenate([src[:, cols], s])
+    order = np.argsort(d, axis=0, kind="stable")[:len(dist)]
+    dist[:len(order), cols] = np.take_along_axis(d, order, axis=0)
+    src[:len(order), cols] = np.take_along_axis(s, order, axis=0)
 
 
 def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
@@ -178,14 +116,16 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     then the (sources, 1) column ``0, 1, ...``, which broadcasts against
     the distances; an unreachable source has an inf distance only.
 
-    In nearest-k mode a source whose water component holds at most k
-    sources, or which a disc of the starting radius R would mostly cover,
-    is searched unbounded. The others run Dijkstra bounded by R, starting at
-    twice the radius of a disc that holds k sources at the mean density. A
-    target is certified once its k-th label is within R, since every source
-    beyond R is farther; the rest are cleared and retried at a larger
-    radius, from the sources whose straight-line lower bound reaches a
-    pending target.
+    In nearest-k mode one loop of passes fills the table; each pass clears
+    the pending targets' columns and refills them by Dijkstra. A water
+    component that holds at most k sources, or that a disc of the starting
+    radius R would mostly cover, is searched unbounded in the first pass and
+    is then done. The others are bounded by R, which starts at twice the
+    radius of a disc that holds k sources at the mean density. A target there
+    is certified once its k-th label is within R, since every source beyond
+    R is farther. The rest stay pending, R grows by ``_GROWTH``, and the
+    next pass runs from the sources whose straight-line lower bound reaches
+    a pending target.
     """
     if k is not None and max_distance is not None:
         raise ValueError("choose one of k and max_distance")
@@ -212,34 +152,69 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
 
 
 def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
+    """``nearest_sources``' nearest-k table, refilled pass by pass.
+
+    Component c is the node range and column slice ``bounds[c]:bounds[c + 1]``,
+    so a Dijkstra call runs on its rows alone, renumbered from 0, from up to
+    ``_CHUNK`` of its sources in ascending order. A stable sort then keeps
+    equal labels in source order, and a label that only ties the k-th loses
+    to the earlier source.
+    """
     n_water, n_src = graph.shape[0], len(nodes)
     _, comp = csgraph.connected_components(graph, directed=False)
-    table = _NeighborTable(graph, nodes, comp, k)
+    order = np.argsort(comp, kind="stable")
+    bounds = np.searchsorted(comp[order], np.arange(comp.max() + 2))
+    # node i is table column pos[i] and number local[i] within its component
+    pos = np.empty_like(order)
+    pos[order] = np.arange(n_water)
+    local = pos - bounds[comp]
+    relabelled = graph[order]
+    data, indptr = relabelled.data, relabelled.indptr
+    indices = local[relabelled.indices].astype(relabelled.indices.dtype)
     src_comp = comp[nodes]
-    per_comp = np.bincount(src_comp, minlength=comp.max() + 1)
-    comp_cells = np.bincount(comp)
     # R0 = 2 * water_cost * sqrt(k * water_area / (pi * n_src)); its disc
-    # spans 4 k n_water / n_src cells
+    # spans 4 k n_water / n_src cells, and a component at most twice that,
+    # or with at most k sources, is searched whole
     cs, wc = cost.geometry.cellsize, cost.water_cost
     radius = 2.0 * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
-    disc_cells = 4.0 * k * n_water / n_src
-    whole = (per_comp <= k) | (comp_cells <= 2.0 * disc_cells)
-    table.search(np.flatnonzero(whole[src_comp]), whole[comp])
+    per_comp = np.bincount(src_comp, minlength=len(bounds) - 1)
+    whole = (per_comp <= k) | (np.diff(bounds) <= 8.0 * k * n_water / n_src)
 
-    # Every component left holds more than k sources, so the loop ends once
-    # the radius spans it. All candidates sit on pending cells at first.
-    rows, cols = np.divmod(water_flat, cost.geometry.ncols)
+    rows, cols = np.divmod(water_flat[order], cost.geometry.ncols)
     xy = np.column_stack([cols, rows]) * cs
-    candidates = active = np.flatnonzero(~whole[src_comp])
-    pending = ~whole[comp]
+    dist = np.full((k, n_water), np.inf)
+    src = np.full((k, n_water), -1)
+    # Every bounded component holds more than k sources, so the loop ends
+    # once the radius spans it.
+    candidates = np.flatnonzero(~whole[src_comp])
+    active = np.arange(n_src)
+    pending = np.ones(n_water, dtype=bool)
     while pending.any():
-        table.search(active, pending, radius)
-        pending &= np.isinf(table.dist[-1])
+        dist[:, pending] = np.inf
+        for c in np.unique(src_comp[active]):
+            group = active[src_comp[active] == c]
+            a, b = bounds[c], bounds[c + 1]
+            lo, hi = indptr[a], indptr[b]
+            sub = sparse.csr_matrix((data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo),
+                                    shape=(b - a, b - a))
+            for at in range(0, len(group), _CHUNK):
+                part = group[at:at + _CHUNK]
+                block = csgraph.dijkstra(sub, directed=True, indices=local[nodes[part]],
+                                         limit=np.inf if whole[c] else radius)
+                # a label must beat the column's k-th: a tie loses to the
+                # earlier source already there
+                hit = np.flatnonzero(pending[a:b] & (block.min(axis=0) < dist[-1, a:b]))
+                for tile in range(0, len(hit), _TILE):
+                    sel = hit[tile:tile + _TILE]
+                    _merge(dist, src, block[:, sel], part, a + sel, first=at == 0)
+        pending &= np.repeat(~whole, np.diff(bounds)) & np.isinf(dist[-1])
         radius *= _GROWTH
         if pending.any():
-            near, _ = cKDTree(xy[pending]).query(xy[nodes[candidates]])
+            near, _ = cKDTree(xy[pending]).query(xy[pos[nodes[candidates]]])
             active = candidates[wc * near <= radius * (1.0 + _BOUND_SLACK)]
-    return table.result()
+    src[np.isinf(dist)] = -1
+    # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous
+    return dist.take(pos, axis=1), src.take(pos, axis=1)
 
 
 def snap_to_water(cost: CostSurface, x: float, y: float, *,

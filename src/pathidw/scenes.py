@@ -58,10 +58,9 @@ class SyntheticScene:
 
 
 def make_scene(kind: str, *, ncols: int = 100, nrows: int = 100,
-               cellsize: float = 60.0, xll: float = 0.0, yll: float = 0.0,
-               step: float = 10.0, noise_sd: float = 0.5,
+               cellsize: float = 60.0, step: float = 10.0, noise_sd: float = 0.5,
                seed: int = 0) -> SyntheticScene:
-    """Build a scene; see the module docstring for the scene kinds."""
+    """Build a scene whose grid starts at (0, 0); see the module docstring for the kinds."""
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}, expected one of {SCENE_KINDS}")
     if step <= 0:
@@ -71,7 +70,7 @@ def make_scene(kind: str, *, ncols: int = 100, nrows: int = 100,
     if kind == "plume" and ncols < 2:
         # the source column would be the wall column
         raise ValueError(f"scene 'plume' needs at least 2 columns, got ncols={ncols}")
-    geom = GridGeometry(ncols, nrows, xll, yll, cellsize)
+    geom = GridGeometry(ncols, nrows, 0.0, 0.0, cellsize)
 
     if kind == "two-basin":
         polygons = _wall_polygons(geom, y_top=geom.ymax + cellsize)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import pathidw
 
@@ -25,3 +26,18 @@ def test_dense_path_api_is_gone():
 def test_interp_config_fields():
     assert [f.name for f in dataclasses.fields(pathidw.InterpConfig)] == [
         "power", "n_nearest", "max_distance"]
+
+
+def test_retired_options_stay_gone():
+    # snap_radius, nodata, xll, yll and Scalogram.metric_name had no caller
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(pathidw.interpolate_ipdw) == ["points", "cost", "config", "threads"]
+    assert params(pathidw.interpolate_idw) == ["points", "geometry", "config", "mask"]
+    assert params(pathidw.snapped_sources) == ["points", "cost"]
+    assert params(pathidw.rasterize_land) == ["polygons", "geometry", "water_cost",
+                                              "land_cost"]
+    assert params(pathidw.make_scene) == ["kind", "ncols", "nrows", "cellsize", "step",
+                                          "noise_sd", "seed"]
+    assert [f.name for f in dataclasses.fields(pathidw.Scalogram)] == ["rows"]

@@ -249,8 +249,8 @@ class TestMoveGraph:
         assert np.array_equal(g.toarray(), expect)
 
 
-class TestFieldsForCells:
-    """In-water distances from several source cells in one call."""
+class TestDenseRows:
+    """``nearest_sources`` in all-points mode: one distance row per source cell."""
 
     def test_duplicates_share_results(self):
         got = fields(water(3, 3), [(0, 0), (2, 2), (0, 0)])
@@ -499,6 +499,21 @@ def corner_scene(water_cost):
     return cost, points_on_cells(cost, cells, rng)
 
 
+def two_bounded_basins():
+    """A wall between two basins, neither searched whole at k=2: (cost, points).
+
+    The left basin (30x28 cells) holds 20 points on a lattice and the right
+    one (30x32 cells) 20 points in its bottom-right 5x5 corner.
+    """
+    vals = np.ones((30, 61))
+    vals[:, 28] = 10000.0
+    cost = surface(vals)
+    rng = np.random.default_rng(7)
+    lattice = [(r, c) for r in range(3, 30, 6) for c in range(3, 28, 7)]
+    corner = [(25 + i // 5, 56 + i % 5) for i in rng.choice(25, size=20, replace=False)]
+    return cost, points_on_cells(cost, lattice + corner, rng)
+
+
 class TestNearestSources:
     @given(data=st.data())
     def test_random_grids_match_dense_reference(self, data):
@@ -612,3 +627,25 @@ class TestNearestSources:
         # the last radius spans the farthest cell's second-nearest source
         dist, _ = nearest_sources(cost, snapped_sources(pts, cost=cost)[0], k=2)
         assert passes[-2] < dist[1].max() <= passes[-1]
+
+    def test_certified_basin_keeps_its_columns_while_another_widens(self, monkeypatch):
+        # Every lattice-basin cell has its 2 nearest sources within the first
+        # radius, so it is certified in the first pass, while the corner
+        # basin is retried pass after pass. Across the one-cell wall the
+        # lattice sources' straight-line bound still reaches pending cells,
+        # so they run again, and the certified columns must stay as they are.
+        cost, pts = two_bounded_basins()
+        limits = {}
+        real = pathdist.csgraph.dijkstra
+
+        def spy(graph, *args, **kwargs):
+            limits.setdefault(graph.shape[0], []).append(kwargs["limit"])
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
+        assert_matches_dense(cost, pts, InterpConfig.nearest(2))
+        passes = list(dict.fromkeys(limits[30 * 32]))
+        assert len(passes) >= 3 and passes[0] in limits[30 * 28]
+        dist, _ = nearest_sources(cost, snapped_sources(pts, cost=cost)[0], k=2)
+        left = np.nonzero(cost.is_water)[1] < 28
+        assert dist[1, left].max() <= passes[0] < dist[1, ~left].max()
