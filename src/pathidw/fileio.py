@@ -97,6 +97,16 @@ def read_points(path) -> tuple[PointSet, int]:
     if header.replace(" ", "").lower() != POINTS_HEADER:
         raise FormatError(f"expected header '{POINTS_HEADER}', got {header!r}",
                           path=str(path), line=lineno)
+    fields = [row.split(",") for _, row in data[1:]]
+    kept = [f for f in fields if len(f) != 3 or f[2].strip() != "NA"]
+    try:
+        values = np.array(kept, dtype=float)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (len(kept), 3) and np.isfinite(values).all():
+        return PointSet(values[:, 0], values[:, 1], values[:, 2]), len(fields) - len(kept)
+    # numpy parses a field as float() does, spaces included; row by row,
+    # this finds the first bad row or field and reports where it is
     records = []
     skipped = 0
     for lineno, row in data[1:]:

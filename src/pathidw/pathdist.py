@@ -125,7 +125,7 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     is certified once its k-th label is within R, since every source beyond
     R is farther. The rest stay pending, R grows by ``_GROWTH``, and the
     next pass runs from the sources whose straight-line lower bound reaches
-    a pending target.
+    a pending target in their own component.
     """
     if k is not None and max_distance is not None:
         raise ValueError("choose one of k and max_distance")
@@ -143,11 +143,10 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
             raise ValueError(f"source cell {(r, c)} out of bounds or not water")
     water_flat = np.flatnonzero(water.ravel())
     nodes = np.searchsorted(water_flat, [r * geom.ncols + c for r, c in cells])
-    graph = move_graph(cost)
     if k is not None and k < len(nodes):
-        return _search_nearest(graph, nodes, k, cost, water_flat)
+        return _search_nearest(move_graph(cost), nodes, k, cost, water_flat)
     limit = np.inf if max_distance is None else max_distance
-    dist = csgraph.dijkstra(graph, directed=True, indices=nodes, limit=limit)
+    dist = csgraph.dijkstra(move_graph(cost), directed=True, indices=nodes, limit=limit)
     return dist, np.arange(len(nodes))[:, None]
 
 
@@ -171,6 +170,8 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     relabelled = graph[order]
     data, indptr = relabelled.data, relabelled.indptr
     indices = local[relabelled.indices].astype(relabelled.indices.dtype)
+    # only the relabelled arrays are searched; the caller holds no graph
+    del graph, relabelled
     src_comp = comp[nodes]
     # R0 = 2 * water_cost * sqrt(k * water_area / (pi * n_src)); its disc
     # spans 4 k n_water / n_src cells, and a component at most twice that,
@@ -207,10 +208,21 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
                 for tile in range(0, len(hit), _TILE):
                     sel = hit[tile:tile + _TILE]
                     _merge(dist, src, block[:, sel], part, a + sel, first=at == 0)
+                # free this block before the next Dijkstra call allocates its own
+                del block
         pending &= np.repeat(~whole, np.diff(bounds)) & np.isinf(dist[-1])
         radius *= _GROWTH
         if pending.any():
-            near, _ = cKDTree(xy[pending]).query(xy[pos[nodes[candidates]]])
+            # a source's bound is to its own component's pending targets
+            # only, so a certified component's sources drop out for good
+            open_comp = np.add.reduceat(pending, bounds[:-1]) > 0
+            candidates = candidates[open_comp[src_comp[candidates]]]
+            near = np.empty(len(candidates))
+            for c in np.unique(src_comp[candidates]):
+                mine = src_comp[candidates] == c
+                a, b = bounds[c], bounds[c + 1]
+                near[mine], _ = cKDTree(xy[a:b][pending[a:b]]).query(
+                    xy[pos[nodes[candidates[mine]]]])
             active = candidates[wc * near <= radius * (1.0 + _BOUND_SLACK)]
     src[np.isinf(dist)] = -1
     # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous

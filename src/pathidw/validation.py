@@ -6,16 +6,20 @@ cell and everything else becomes validation data. Error reports carry
 per-point residuals plus MAE/RMSE, and paired reports are compared with a
 two-sided Wilcoxon signed-rank test whose small-n path is the exact
 sign-flip distribution.
+
+Mid-ranks and the Spearman statistic are computed here in numpy, as
+``scipy.stats.rankdata`` and ``spearmanr`` compute them, so that importing
+the package does not import ``scipy.stats``: every CLI call is a fresh
+process, and that one import would cost it more time and memory than
+numpy and the rest of scipy together.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata, spearmanr
 
 from .points import PointSet
 from .raster import RasterGrid, require_count
@@ -82,8 +86,8 @@ class PairedTestResult:
 class RangeErrorTable:
     """Scatter of survey value range against MAE, with Spearman rank correlation.
 
-    ``rank_correlation`` is None when undefined (fewer than two rows or zero
-    variance in either column).
+    ``rank_correlation`` is None when undefined (fewer than two rows, a NaN,
+    or zero variance in either column).
     """
 
     rows: tuple[tuple[float, float], ...]
@@ -175,7 +179,7 @@ def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:
     if n == 0:
         return PairedTestResult(0.0, 1.0, 0, n_zero, "degenerate")
 
-    ranks = rankdata(np.abs(nonzero), method="average")
+    ranks = _average_ranks(np.abs(nonzero))
     w_plus = float(ranks[nonzero > 0].sum())
     w_minus = float(ranks[nonzero < 0].sum())
     statistic = w_plus - w_minus
@@ -186,6 +190,20 @@ def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:
         return PairedTestResult(statistic, p, n, n_zero, "exact")
     p = _approx_two_sided_p(ranks, w_plus, n)
     return PairedTestResult(statistic, p, n, n_zero, "normal-approximation")
+
+
+def _average_ranks(x) -> np.ndarray:
+    """Ranks 1..n of ``x``; each group of equal values shares its mean rank."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    # group g (from 1) holds sorted positions bounds[g - 1] to bounds[g] - 1
+    group = np.cumsum(starts)
+    bounds = np.r_[np.flatnonzero(starts), len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = 0.5 * (bounds[group] + bounds[group - 1] + 1)
+    return ranks
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
@@ -241,14 +259,9 @@ def range_vs_error(pairs) -> RangeErrorTable:
     if not rows:
         raise ValueError("no (range, report) pairs supplied")
     rho: float | None = None
-    if len(rows) >= 2:
-        ranges = [r[0] for r in rows]
-        maes = [r[1] for r in rows]
-        with warnings.catch_warnings():
-            # constant input makes the correlation undefined; we report None
-            warnings.simplefilter("ignore")
-            result = spearmanr(ranges, maes)
-        stat = float(result.statistic)
-        if math.isfinite(stat):
-            rho = stat
+    table = np.array(rows)
+    # the rank correlation is undefined with a NaN or a constant column
+    if len(rows) >= 2 and not np.isnan(table).any() and (table != table[0]).any(axis=0).all():
+        ranks = np.column_stack([_average_ranks(table[:, 0]), _average_ranks(table[:, 1])])
+        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return RangeErrorTable(rows, rho)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pathidw.fileio
 from pathidw import (
     ErrorReport,
     FormatError,
@@ -63,6 +64,42 @@ class TestPointsCsv:
         assert skipped == 1
         assert len(cloud) == 2
         assert list(cloud.values) == [3.0, 8.0]
+
+    class _NoBulkParse:
+        """numpy, except that ``array`` fails, so ``read_points`` parses row by row."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(*args, **kwargs):
+            raise ValueError("bulk parse disabled")
+
+    @pytest.mark.parametrize("body", [
+        " 1 , 2 ,3\n4,5, NA \n6 ,\t7,8.5\n1_0,\uff11\uff12,-0\n",
+        "1,2,NA\n3,4,NA\n",
+        "",
+        "1,2,3\n4,5,NA\n6,7\n",
+        "1,2,NA\n1,2\n",
+        "1,2,3\n4, oops ,NA\n6,7,oops\n",
+        "1,2,3\n4,5,6,7\n",
+        "1,2,3\n4,5,1e400\n",
+        "1,2,3\n nan ,5,6\n",
+    ])
+    def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
+        path = tmp_path / "pts.csv"
+        path.write_text("# survey: demo\nx, y, value\n" + body)
+
+        def read():
+            try:
+                cloud, skipped = read_points(path)
+            except FormatError as err:
+                return str(err)
+            return cloud.x.tobytes(), cloud.y.tobytes(), cloud.values.tobytes(), skipped
+
+        bulk = read()
+        monkeypatch.setattr(pathidw.fileio, "np", self._NoBulkParse())
+        assert read() == bulk
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "pts.csv"

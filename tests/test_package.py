@@ -1,5 +1,9 @@
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pathidw
 
@@ -41,3 +45,16 @@ def test_retired_options_stay_gone():
     assert params(pathidw.make_scene) == ["kind", "ncols", "nrows", "cellsize", "step",
                                           "noise_sd", "seed"]
     assert [f.name for f in dataclasses.fields(pathidw.Scalogram)] == ["rows"]
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # Every CLI call is a fresh process, and scipy.stats would cost it more
+    # start-up time and memory than numpy and the rest of scipy together.
+    src = str(Path(pathidw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, pathidw.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

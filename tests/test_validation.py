@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pathidw import (
     range_vs_error,
     wilcoxon_signed_rank,
 )
-from pathidw.validation import EXACT_LIMIT, _approx_two_sided_p
+from pathidw.validation import EXACT_LIMIT, _approx_two_sided_p, _average_ranks
 
 
 def pts(xyv):
@@ -264,6 +265,19 @@ class TestWilcoxon:
         assert result.p_value < 0.01
         assert result.statistic == -276.0
 
+    def test_average_ranks_match_scipy_bitwise(self):
+        # Seeded samples with many ties, none, one constant value and inf.
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(11)
+        for n in range(1, 50):
+            tied = rng.integers(0, max(1, n // 3), n).astype(float)
+            spread = rng.normal(size=n)
+            spread[rng.integers(n)] = np.inf
+            for x in (tied, spread, np.full(n, 2.5)):
+                want = rankdata(x, method="average")
+                assert _average_ranks(x).tobytes() == want.tobytes(), x
+
     def test_agrees_with_scipy_on_tie_free_data(self):
         from scipy.stats import wilcoxon as scipy_wilcoxon
 
@@ -318,6 +332,43 @@ class TestRangeVsError:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             range_vs_error([])
+
+    def test_matches_scipy_spearman_bitwise(self):
+        # Seeded columns from two rows up, with ties, constant columns, inf
+        # and NaN; where scipy's statistic is nan the correlation is None,
+        # and no warning is raised on the way.
+        from scipy.stats import spearmanr
+
+        rng = np.random.default_rng(12)
+        undefined = 0
+        for trial in range(600):
+            n = int(rng.integers(2, 30))
+            ranges = rng.integers(0, 5, n).astype(float) if trial % 2 else rng.normal(size=n)
+            maes = rng.integers(0, 3, n).astype(float) if trial % 3 else rng.uniform(size=n)
+            if trial % 5 == 0:
+                maes[:] = maes[0]
+            if trial % 7 == 0:
+                ranges[rng.integers(n)] = np.inf
+            if trial % 11 == 0:
+                maes[rng.integers(n)] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = float(spearmanr(ranges, maes).statistic)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = range_vs_error(
+                    [(r, self.report(m)) for r, m in zip(ranges, maes)]).rank_correlation
+            if math.isfinite(want):
+                assert got is not None and np.float64(got).tobytes() == np.float64(want).tobytes()
+            else:
+                assert got is None
+                undefined += 1
+        assert 0 < undefined < 600
+
+    def test_nan_column_has_no_correlation(self):
+        table = range_vs_error([(1.0, self.report(0.3)), (2.0, self.report(math.nan)),
+                                (3.0, self.report(0.1))])
+        assert table.rank_correlation is None
 
     def test_matches_direct_rank_correlation(self):
         rng = np.random.default_rng(4)
