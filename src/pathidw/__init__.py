@@ -8,16 +8,16 @@ Euclidean IDW, grid-stratified train/validation splitting, cross-validation
 metrics, and a paired Wilcoxon test support head-to-head comparisons.
 """
 
-from .costsurface import (CostSurface, PolygonSet, rasterize_land, reclassify,
+from .costsurface import (CostSurface, PolygonSet, rasterize_land,
                           DEFAULT_LAND_COST, DEFAULT_WATER_COST)
 from .errors import (ConsistencyError, FormatError, InputError, PolygonError,
                      SnapError)
-from .interpolate import (InterpConfig, Prediction, idw_estimate,
-                          interpolate_idw, interpolate_ipdw, snapped_sources)
+from .interpolate import (InterpConfig, interpolate_idw, interpolate_ipdw,
+                          snapped_sources)
 from .metrics import (KneeCandidate, Scalogram, edge_density, knee_candidate,
                       scalogram)
 from .pathdist import (DEFAULT_SNAP_RADIUS, move_graph, nearest_sources,
-                       snap_points, snap_to_water)
+                       snap_points)
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid
 from .scenes import SCENE_KINDS, SyntheticScene, make_scene
@@ -32,11 +32,10 @@ __all__ = [
     "DEFAULT_NODATA", "DEFAULT_SNAP_RADIUS", "DEFAULT_WATER_COST",
     "ErrorReport", "FormatError", "GridGeometry", "InputError",
     "InterpConfig", "KneeCandidate", "PairedTestResult", "PointSet",
-    "PolygonError", "PolygonSet", "Prediction", "RangeErrorTable",
-    "RasterGrid", "SCENE_KINDS", "Scalogram", "SnapError", "SplitResult",
+    "PolygonError", "PolygonSet", "RangeErrorTable", "RasterGrid",
+    "SCENE_KINDS", "Scalogram", "SnapError", "SplitResult",
     "SyntheticScene", "cross_validate", "edge_density", "grid_split",
-    "idw_estimate", "interpolate_idw", "interpolate_ipdw", "knee_candidate",
-    "make_scene", "move_graph", "nearest_sources", "range_vs_error",
-    "rasterize_land", "reclassify", "scalogram", "snap_points",
-    "snap_to_water", "snapped_sources", "wilcoxon_signed_rank",
+    "interpolate_idw", "interpolate_ipdw", "knee_candidate", "make_scene",
+    "move_graph", "nearest_sources", "range_vs_error", "rasterize_land",
+    "scalogram", "snap_points", "snapped_sources", "wilcoxon_signed_rank",
 ]

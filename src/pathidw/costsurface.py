@@ -149,17 +149,3 @@ def rasterize_land(polygons: PolygonSet, geometry: GridGeometry, *,
     values = np.where(land, land_cost, water_cost)
     return CostSurface(RasterGrid(geometry, values, DEFAULT_NODATA), water_cost, land_cost)
 
-
-def reclassify(classes: RasterGrid, water_class_value: float, *,
-               water_cost: float = DEFAULT_WATER_COST,
-               land_cost: float = DEFAULT_LAND_COST) -> CostSurface:
-    """Map a class raster onto traversal costs.
-
-    Cells equal to ``water_class_value`` become ``water_cost``, every other
-    data cell becomes ``land_cost``, and nodata cells stay nodata.
-    """
-    vals = classes.values
-    out = np.where(vals == water_class_value, water_cost, land_cost)
-    out = np.where(classes.is_nodata, classes.nodata, out)
-    return CostSurface(RasterGrid(classes.geometry, out, classes.nodata),
-                       water_cost, land_cost)

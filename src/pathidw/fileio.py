@@ -125,16 +125,15 @@ def read_points(path) -> tuple[PointSet, int]:
 # ESRI ASCII grid
 # ---------------------------------------------------------------------------
 
-def write_ascii_grid(raster: RasterGrid, path, *, decimals: int = 6):
-    """Write every value at ``decimals`` places; ValueError if that loses the nodata mask."""
+def write_ascii_grid(raster: RasterGrid, path):
+    """Write every value at 6 decimals; ValueError if that loses the nodata mask."""
     g = raster.geometry
-    cell, nodata, values = f"%.{decimals}f", raster.nodata, raster.values
-    # text at d places reads back within 10**-d of its value, so only values
+    cell, nodata, values = "%.6f", raster.nodata, raster.values
+    # text at 6 places reads back within 1e-6 of its value, so only values
     # this close can turn into the sentinel or the sentinel into data
-    near = np.unique(values[np.abs(values - nodata) <= 2.0 * 10.0 ** -decimals])
+    near = np.unique(values[np.abs(values - nodata) <= 2e-6])
     if any((float(cell % v) == nodata) != (v == nodata) for v in near.tolist()):
-        raise ValueError(f"{decimals} decimals would not keep the nodata mask "
-                         f"(sentinel {nodata!r})")
+        raise ValueError(f"6 decimals would not keep the nodata mask (sentinel {nodata!r})")
     row_format = " ".join([cell] * g.ncols) + "\n"
     with open(path, "w") as f:
         f.write(f"ncols {g.ncols}\n")
@@ -295,7 +294,7 @@ def write_error_report(report: ErrorReport, path, *, metadata: dict | None = Non
 
 
 def read_error_report(path) -> ErrorReport:
-    """Rebuild an ErrorReport from its CSV serialization."""
+    """Rebuild an ErrorReport from its CSV; a bad field raises FormatError at its column."""
     with open(path) as f:
         meta, data = _read_preamble(f)
     if not data or data[0][1].replace(" ", "") != "point_index,observed,predicted,residual":
@@ -306,11 +305,13 @@ def read_error_report(path) -> ErrorReport:
         if len(parts) != 4:
             raise FormatError(f"expected 4 fields, got {len(parts)}",
                               path=str(path), line=lineno)
+        _, *values = _parse_row(parts, path, lineno)
         try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+            index = int(parts[0])
         except ValueError:
-            raise FormatError(f"malformed row: {line!r}", path=str(path),
-                              line=lineno) from None
+            raise FormatError(f"point index is not an integer: {parts[0]!r}",
+                              path=str(path), line=lineno, column=1) from None
+        rows.append((index, *values))
     if not rows:
         raise FormatError("error report holds no residual rows", path=str(path))
     try:

@@ -17,8 +17,7 @@ straight-line distances, from a k-d tree candidate search in nearest-n
 mode and one ``np.hypot`` block otherwise. In nearest-n mode with more than
 n sources each column holds the n nearest ordered by (distance, source
 order); otherwise the distance rows are the sources in input order and the
-sources are one (sources, 1) column. ``idw_estimate`` is one column of the
-same estimator, with the same tie rule, so the clamp exists once.
+sources are one (sources, 1) column.
 
 Measurement points are snapped to water-cell centers before estimation and
 points landing on the same cell are averaged, for both methods alike; a
@@ -85,45 +84,6 @@ class InterpConfig:
     @classmethod
     def all_points(cls, *, power: float = 2.0) -> "InterpConfig":
         return cls(power=power, n_nearest=None, max_distance=None)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One estimate plus bookkeeping about the neighbors that formed it."""
-
-    value: float
-    n_neighbors_used: int
-    min_neighbor_distance: float
-
-
-def idw_estimate(neighbors, config: InterpConfig) -> Prediction | None:
-    """Estimate one value from (distance, value) neighbor pairs.
-
-    Returns None (a NoData outcome, not an error) when no neighbor survives
-    the neighborhood filter. A zero-distance neighbor short-circuits to the
-    mean of all zero-distance values. An infinite distance marks a neighbor
-    that cannot be reached; it is never used. Values must be finite.
-    """
-    pairs = [(float(d), float(v)) for d, v in neighbors]
-    if not all(d >= 0 for d, _ in pairs):
-        raise ValueError("neighbor distances must be non-negative")
-    if not all(np.isfinite(v) for _, v in pairs):
-        raise ValueError("neighbor values must be finite")
-    if not pairs:
-        return None
-    d, v = np.array(pairs).T
-    # the nearest n by (distance, input order), summed in that order
-    if config.n_nearest is not None and config.n_nearest < len(d):
-        keep = np.argsort(d, kind="stable")[:config.n_nearest]
-        d, v = d[keep], v[keep]
-    if config.max_distance is not None:
-        d = np.where(d <= config.max_distance, d, np.inf)
-    est, has = _estimate(d[:, None], v[:, None], config)
-    if not has[0]:
-        return None
-    used = d[np.isfinite(d)]
-    n_used = int((used == 0.0).sum()) or len(used)
-    return Prediction(float(est[0]), n_used, float(used.min()))
 
 
 def snapped_sources(points: PointSet, *, cost: CostSurface

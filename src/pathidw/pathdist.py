@@ -229,35 +229,29 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     return dist.take(pos, axis=1), src.take(pos, axis=1)
 
 
-def snap_to_water(cost: CostSurface, x: float, y: float, *,
-                  radius: int = DEFAULT_SNAP_RADIUS) -> tuple[int, int] | None:
-    """Snap one point to a water cell, or None when no candidate exists.
+def snap_points(cost: CostSurface, points: PointSet) -> list[tuple[int, int]]:
+    """Snap every point to a water cell; one SnapError lists all failures.
 
     A point already on a water cell stays there. A point on a land or nodata
-    cell moves to the water cell within ``radius`` cells (Chebyshev window)
-    whose center is nearest the point; ties go to the first candidate in
-    row-major scan order. Points outside the grid extent never snap.
+    cell moves to the water cell within ``DEFAULT_SNAP_RADIUS`` cells
+    (Chebyshev window) whose center is nearest the point; ties go to the
+    first candidate in row-major scan order. Points outside the grid extent
+    never snap.
     """
-    rows, cols, _ = _snap(cost, np.array([x]), np.array([y]), radius)
-    return None if rows[0] < 0 else (int(rows[0]), int(cols[0]))
-
-
-def snap_points(cost: CostSurface, points: PointSet, *,
-                radius: int = DEFAULT_SNAP_RADIUS) -> list[tuple[int, int]]:
-    """Snap every point as ``snap_to_water`` does; one SnapError lists all failures."""
-    rows, cols, inside = _snap(cost, points.x, points.y, radius)
+    rows, cols, inside = _snap(cost, points.x, points.y, DEFAULT_SNAP_RADIUS)
     failed = np.flatnonzero(rows < 0)
     if len(failed):
-        raise SnapError([(int(i), f"no water cell within {radius} cells" if inside[i]
-                          else "outside the grid extent") for i in failed])
+        raise SnapError([(int(i), f"no water cell within {DEFAULT_SNAP_RADIUS} cells"
+                          if inside[i] else "outside the grid extent") for i in failed])
     return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _snap(cost: CostSurface, x: np.ndarray, y: np.ndarray, radius: int):
-    """Snap points as ``snap_to_water`` describes, reading the water mask once.
+    """Snap points by ``snap_points``' rule within ``radius`` cells.
 
-    Returns (rows, cols, inside): the snapped cells, -1 where a point does
-    not snap, and whether each point lies in the grid.
+    Reads the water mask once. Returns (rows, cols, inside): the snapped
+    cells, -1 where a point does not snap, and whether each point lies in
+    the grid.
     """
     geom = cost.geometry
     water = cost.is_water
@@ -266,7 +260,7 @@ def _snap(cost: CostSurface, x: np.ndarray, y: np.ndarray, radius: int):
     keep = inside & water[rows, cols]
     off = np.flatnonzero(inside & ~keep)
     snapped_rows, snapped_cols = np.where(keep, rows, -1), np.where(keep, cols, -1)
-    if len(off) and radius >= 0:
+    if len(off):
         # one row per off-water point: its window's cells in row-major scan order
         step = np.arange(-radius, radius + 1)
         r = rows[off, None] + np.repeat(step, len(step))

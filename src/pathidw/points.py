@@ -43,8 +43,3 @@ class PointSet:
         idx = np.asarray(indices, dtype=int)
         return PointSet(self.x[idx], self.y[idx], self.values[idx])
 
-    def value_range(self) -> float:
-        """Spread of measured values (max - min)."""
-        if len(self) == 0:
-            raise ValueError("empty point set has no value range")
-        return float(self.values.max() - self.values.min())

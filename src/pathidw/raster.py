@@ -90,13 +90,6 @@ class GridGeometry:
         cols = np.where(inside, col, -1).astype(np.int64)
         return rows, cols
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
-        """Return the (row, col) of the cell owning point (x, y), or None."""
-        row, col = self.cells_of(x, y)
-        if row < 0:
-            return None
-        return int(row), int(col)
-
     def center_of(self, row: int, col: int) -> tuple[float, float]:
         """Return the center coordinates of cell (row, col)."""
         if not (0 <= row < self.nrows and 0 <= col < self.ncols):

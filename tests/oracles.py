@@ -4,13 +4,18 @@ Everything in here deliberately avoids the production code paths: shortest
 paths come from iterated Bellman-Ford style relaxation instead of Dijkstra,
 estimates from direct fsum evaluation instead of the vectorised kernels, and
 signed-rank p-values from full enumeration over sign patterns.  Tests compare
-the package against these to catch shared-bug failure modes.
+the package against these to catch shared-bug failure modes.  The one
+exception is ``estimate_dense``, which hands a neighbor table built here to
+the production estimator, as the engines do, so estimator tests need no
+engine.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from pathidw.interpolate import _estimate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -126,6 +131,29 @@ def shepard_direct(neighbors, power, n_nearest=None, max_distance=None):
     num = math.fsum(w * v for w, (_, v) in zip(weights, pairs))
     den = math.fsum(weights)
     return num / den
+
+
+def table(dist, config):
+    """Reference neighbor table over a dense (sources, targets) distance matrix.
+
+    Nearest-n with more than n sources keeps each column's n nearest by a
+    stable sort, so ties go to the earlier source. Otherwise rows are the
+    sources in order, cleared beyond ``max_distance``, and the sources are
+    the (sources, 1) column 0, 1, .... Returns (distances, sources).
+    """
+    src = np.arange(len(dist))[:, None]
+    if config.mode == "within":
+        dist = np.where(dist <= config.max_distance, dist, np.inf)
+    if config.mode == "nearest" and len(dist) > config.n_nearest:
+        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
+        dist = np.take_along_axis(dist, src, axis=0)
+    return dist, src
+
+
+def estimate_dense(dist, values, config):
+    """``_estimate`` over ``table(dist, config)``: returns (estimates, has_estimate)."""
+    d, src = table(dist, config)
+    return _estimate(d, values[src], config)
 
 
 def midranks(mags):

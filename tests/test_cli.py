@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +58,31 @@ def run_pipeline(tmp_path, *, seed=1, ncols=40, nrows=40):
         ]) == 0
         reports[method] = report
     return reports
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_walkthrough():
+    """README's walkthrough: its ``pathidw`` commands and the notes it quotes."""
+    section = README.read_text().split("## Command line walkthrough\n", 1)[1]
+    commands, notes = re.findall(r"```[a-z]*\n(.*?)```", section, re.S)[:2]
+    commands = [shlex.split(line) for line in commands.replace("\\\n", " ").splitlines()]
+    return commands, notes.splitlines()
+
+
+class TestReadmeWalkthrough:
+    def test_commands_write_the_quoted_notes(self, tmp_path, monkeypatch, capsys):
+        commands, quoted = readme_walkthrough()
+        assert len(commands) == 7
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert argv[0] == "pathidw"
+            assert main(argv[1:]) == 0, argv
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("wrote demo/report_")]
+        assert len(quoted) == 2
+        assert notes == quoted
 
 
 class TestSynth:

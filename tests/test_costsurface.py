@@ -15,7 +15,6 @@ from pathidw import (
     PolygonSet,
     RasterGrid,
     rasterize_land,
-    reclassify,
 )
 from pathidw import costsurface
 
@@ -248,24 +247,3 @@ class TestCostSurface:
         assert np.array_equal(cost.is_water, [[True, False, False]])
         assert np.array_equal(cost.is_land, [[False, False, True]])
 
-
-class TestReclassify:
-    def test_mapping(self):
-        geom = GridGeometry(ncols=2, nrows=2, xll=0.0, yll=0.0, cellsize=1.0)
-        classes = RasterGrid(geom, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        cost = reclassify(classes, 0.0)
-        expect = np.array([[1.0, 10000.0], [10000.0, 1.0]])
-        assert np.array_equal(cost.raster.values, expect)
-
-    def test_nodata_preserved(self):
-        geom = GridGeometry(ncols=3, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
-        classes = RasterGrid(geom, np.array([[0.0, -9999.0, 2.0]]))
-        cost = reclassify(classes, 0.0)
-        assert np.array_equal(cost.raster.values, [[1.0, -9999.0, 10000.0]])
-        assert cost.raster.is_nodata[0, 1]
-
-    def test_all_water(self):
-        geom = GridGeometry(ncols=2, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
-        classes = RasterGrid(geom, np.zeros((1, 2)))
-        cost = reclassify(classes, 0.0)
-        assert cost.is_water.all()

@@ -289,32 +289,30 @@ class TestAsciiGrid:
         assert message in str(err.value)
 
     def test_nodata_finer_than_the_decimals_is_rejected(self, tmp_path):
-        # -9999.1234567 would be written as -9999.123457 and read back as data
+        # -9999.1234567 would be written as -9999.123457 and read back as data;
+        # a sentinel with 6 decimals reads back as itself
         geom = GridGeometry(ncols=2, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
         raster = RasterGrid(geom, np.array([[1.0, -9999.1234567]]), -9999.1234567)
         path = tmp_path / "g.asc"
         with pytest.raises(ValueError, match="nodata mask"):
             write_ascii_grid(raster, path)
         assert not path.exists()
-        write_ascii_grid(raster, path, decimals=7)
+        raster = RasterGrid(geom, np.array([[1.0, -9999.123457]]), -9999.123457)
+        write_ascii_grid(raster, path)
         assert np.array_equal(read_ascii_grid(path).is_nodata, raster.is_nodata)
 
     def test_data_rounding_onto_nodata_is_rejected(self, tmp_path):
-        # 2.0000004 would be written as 2.000000 and read back as nodata
+        # 2.0000004 would be written as 2.000000 and read back as nodata;
+        # 2.000002 is written as itself and stays data
         geom = GridGeometry(ncols=3, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
         raster = RasterGrid(geom, np.array([[2.0000004, 2.0, 5.0]]), 2.0)
         path = tmp_path / "g.asc"
         with pytest.raises(ValueError, match="nodata mask"):
             write_ascii_grid(raster, path)
         assert not path.exists()
-        write_ascii_grid(raster, path, decimals=7)
+        raster = RasterGrid(geom, np.array([[2.000002, 2.0, 5.0]]), 2.0)
+        write_ascii_grid(raster, path)
         assert np.array_equal(read_ascii_grid(path).is_nodata, raster.is_nodata)
-
-    def test_decimals_control_data_precision(self, tmp_path):
-        geom = GridGeometry(ncols=1, nrows=1, xll=0.0, yll=0.0, cellsize=1.0)
-        path = tmp_path / "g.asc"
-        write_ascii_grid(RasterGrid(geom, np.array([[1.23456789]])), path, decimals=2)
-        assert path.read_text().splitlines()[-1] == "1.23"
 
 
 class TestPolygonText:
@@ -413,6 +411,24 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         path.write_text("point_index,observed,predicted,residual\n")
         with pytest.raises(FormatError, match="no residual rows"):
+            read_error_report(path)
+
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_error_report_non_finite_field_reports_position(self, tmp_path, token, column):
+        fields = ["1", "1.0", "2.0", "1.0"]
+        fields[column - 1] = token
+        path = tmp_path / "report.csv"
+        path.write_text("point_index,observed,predicted,residual\n0,1.0,1.5,0.5\n"
+                        + ",".join(fields) + "\n")
+        with pytest.raises(FormatError, match=f"line 3, column {column}: non-finite value"):
+            read_error_report(path)
+
+    @pytest.mark.parametrize("index", ["1.5", "x"])
+    def test_error_report_bad_index_reports_position(self, tmp_path, index):
+        path = tmp_path / "report.csv"
+        path.write_text(f"point_index,observed,predicted,residual\n{index},1.0,1.5,0.5\n")
+        with pytest.raises(FormatError, match="line 2, column 1: "):
             read_error_report(path)
 
     def test_paired_test_layout(self, tmp_path):

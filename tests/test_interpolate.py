@@ -16,7 +16,6 @@ from pathidw import (
     PointSet,
     RasterGrid,
     SnapError,
-    idw_estimate,
     interpolate_idw,
     interpolate_ipdw,
     nearest_sources,
@@ -38,26 +37,11 @@ def points(xyv):
     return PointSet(x=arr[:, 0], y=arr[:, 1], values=arr[:, 2])
 
 
-def table(dist, config):
-    """Reference table over a dense (sources, targets) distance matrix.
-
-    Nearest-n with more than n sources keeps each column's n nearest by a
-    stable sort, so ties go to the earlier source. Otherwise rows are the
-    sources in order, cleared beyond ``max_distance``, and the sources are
-    the (sources, 1) column 0, 1, .... Returns (distances, sources).
-    """
-    src = np.arange(len(dist))[:, None]
-    if config.mode == "within":
-        dist = np.where(dist <= config.max_distance, dist, np.inf)
-    if config.mode == "nearest" and len(dist) > config.n_nearest:
-        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
-        dist = np.take_along_axis(dist, src, axis=0)
-    return dist, src
-
-
-def estimate_dense(dist, values, config):
-    d, src = table(dist, config)
-    return _estimate(d, values[src], config)
+def one_column(pairs, config):
+    """The estimate from a one-column table of (distance, value) ``pairs``, or None."""
+    dist, values = np.array(pairs, dtype=float).reshape(-1, 2).T
+    est, has = oracles.estimate_dense(dist[:, None], values, config)
+    return float(est[0]) if has[0] else None
 
 
 def finite_floats(lo, hi):
@@ -113,58 +97,39 @@ class TestInterpConfig:
 
 
 class TestIdwEstimate:
+    """The IDW estimate of one target from its (distance, value) neighbors."""
+
     def test_two_point_example(self):
-        pred = idw_estimate([(1.0, 0.0), (2.0, 3.0)], InterpConfig.all_points(power=2.0))
-        assert pred.value == 0.6
-        assert pred.n_neighbors_used == 2
-        assert pred.min_neighbor_distance == 1.0
+        assert one_column([(1.0, 0.0), (2.0, 3.0)], InterpConfig.all_points(power=2.0)) == 0.6
 
     def test_equal_distances_give_plain_mean(self):
-        pred = idw_estimate([(5.0, 1.0), (5.0, 3.0)], InterpConfig.all_points())
-        assert pred.value == 2.0
+        assert one_column([(5.0, 1.0), (5.0, 3.0)], InterpConfig.all_points()) == 2.0
 
     def test_zero_distance_returns_that_value(self):
-        pred = idw_estimate([(0.0, 7.0), (3.0, 1.0)], InterpConfig.all_points())
-        assert pred.value == 7.0
-        assert pred.min_neighbor_distance == 0.0
+        assert one_column([(0.0, 7.0), (3.0, 1.0)], InterpConfig.all_points()) == 7.0
 
     def test_coincident_zero_neighbors_average(self):
-        pred = idw_estimate([(0.0, 4.0), (0.0, 8.0), (2.0, 0.0)], InterpConfig.all_points())
-        assert pred.value == 6.0
-        assert pred.n_neighbors_used == 2
+        pairs = [(0.0, 4.0), (0.0, 8.0), (2.0, 0.0)]
+        assert one_column(pairs, InterpConfig.all_points()) == 6.0
 
     def test_empty_neighborhood_returns_none(self):
-        assert idw_estimate([], InterpConfig.all_points()) is None
-        assert idw_estimate([(10.0, 1.0)], InterpConfig.within(5.0)) is None
+        assert one_column([(10.0, 1.0)], InterpConfig.within(5.0)) is None
 
     def test_max_distance_is_inclusive(self):
-        pred = idw_estimate([(5.0, 1.0), (6.0, 99.0)], InterpConfig.within(5.0))
-        assert pred.value == 1.0
-        assert pred.n_neighbors_used == 1
+        assert one_column([(5.0, 1.0), (6.0, 99.0)], InterpConfig.within(5.0)) == 1.0
 
     def test_nearest_tie_keeps_input_order(self):
-        pred = idw_estimate([(1.0, 10.0), (1.0, 20.0), (2.0, 30.0)], InterpConfig.nearest(1))
-        assert pred.value == 10.0
+        pairs = [(1.0, 10.0), (1.0, 20.0), (2.0, 30.0)]
+        assert one_column(pairs, InterpConfig.nearest(1)) == 10.0
 
     def test_nearest_uses_n_smallest(self):
-        pred = idw_estimate(
+        got = one_column(
             [(4.0, 100.0), (1.0, 1.0), (2.0, 2.0)], InterpConfig.nearest(2, power=1.0)
         )
         direct = oracles.shepard_direct(
             [(4.0, 100.0), (1.0, 1.0), (2.0, 2.0)], 1.0, n_nearest=2
         )
-        assert pred.value == pytest.approx(direct, rel=1e-12)
-        assert pred.n_neighbors_used == 2
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            idw_estimate([(-1.0, 0.0)], InterpConfig.all_points())
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_rejected(self, bad):
-        for config in (InterpConfig.all_points(), InterpConfig.nearest(1)):
-            with pytest.raises(ValueError, match="finite"):
-                idw_estimate([(1.0, bad), (2.0, 1.0)], config)
+        assert got == pytest.approx(direct, rel=1e-12)
 
     @given(
         pairs=st.lists(
@@ -175,9 +140,9 @@ class TestIdwEstimate:
         power=finite_floats(0.25, 6.0),
     )
     def test_matches_direct_evaluation(self, pairs, power):
-        pred = idw_estimate(pairs, InterpConfig.all_points(power=power))
+        got = one_column(pairs, InterpConfig.all_points(power=power))
         direct = oracles.shepard_direct(pairs, power)
-        assert pred.value == pytest.approx(direct, rel=1e-12, abs=1e-9)
+        assert got == pytest.approx(direct, rel=1e-12, abs=1e-9)
 
     @given(
         pairs=st.lists(
@@ -188,9 +153,9 @@ class TestIdwEstimate:
         power=finite_floats(0.25, 6.0),
     )
     def test_estimate_is_a_convex_combination(self, pairs, power):
-        pred = idw_estimate(pairs, InterpConfig.all_points(power=power))
+        got = one_column(pairs, InterpConfig.all_points(power=power))
         values = [v for _, v in pairs]
-        assert min(values) <= pred.value <= max(values)
+        assert min(values) <= got <= max(values)
 
     @given(
         pairs=st.lists(
@@ -203,8 +168,8 @@ class TestIdwEstimate:
     )
     def test_affine_equivariance_in_values(self, pairs, scale, shift):
         config = InterpConfig.all_points()
-        base = idw_estimate(pairs, config).value
-        mapped = idw_estimate([(d, scale * v + shift) for d, v in pairs], config).value
+        base = one_column(pairs, config)
+        mapped = one_column([(d, scale * v + shift) for d, v in pairs], config)
         assert mapped == pytest.approx(scale * base + shift, rel=1e-9, abs=1e-6)
 
 
@@ -404,7 +369,7 @@ class TestEstimateColumns:
             config = InterpConfig.within(float(rng.uniform(1.0, 120.0)))
         else:
             config = InterpConfig.all_points()
-        est, has = estimate_dense(dist.copy(), values, config)
+        est, has = oracles.estimate_dense(dist.copy(), values, config)
         for t in range(nt):
             pairs = [(dist[i, t], values[i]) for i in range(k) if np.isfinite(dist[i, t])]
             expected = oracles.shepard_direct(pairs, config.power, n_nearest=config.n_nearest,
@@ -440,14 +405,14 @@ class TestEstimateColumns:
         dist = np.array([[0.0, 3.0], [1.0, 4.0]])
         values = np.array([6.0, 10.0])
         config = InterpConfig.all_points()
-        est, has = estimate_dense(dist, values, config)
+        est, has = oracles.estimate_dense(dist, values, config)
         assert has.all()
         assert est[0] == 6.0
 
     def test_all_excluded_column(self):
         dist = np.array([[np.inf], [np.inf]])
         config = InterpConfig.all_points()
-        est, has = estimate_dense(dist, np.array([1.0, 2.0]), config)
+        est, has = oracles.estimate_dense(dist, np.array([1.0, 2.0]), config)
         assert not has[0]
 
 
@@ -465,7 +430,7 @@ def dense_idw(pts, geometry, config, mask=None):
     rows, cols = np.array(cells).T
     dist = np.hypot(cx[water][None, :] - cx[rows, cols][:, None],
                     cy[water][None, :] - cy[rows, cols][:, None])
-    dist, src = table(dist, config)
+    dist, src = oracles.table(dist, config)
     est, has = _estimate(dist, values[src], config)
     out = np.full(geometry.n_cells, -9999.0)
     out[np.flatnonzero(water.ravel())[has]] = est[has]

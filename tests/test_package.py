@@ -6,9 +6,13 @@ import sys
 from pathlib import Path
 
 import pathidw
+import pathidw.fileio
 
 REMOVED = ("DistanceField", "distance_field", "fields_for_cells", "distances_to_points",
            "neighbor_table")
+# (module, name): retired public functions that only tests called
+RETIRED = (("interpolate", "idw_estimate"), ("interpolate", "Prediction"),
+           ("pathdist", "snap_to_water"), ("costsurface", "reclassify"))
 
 
 def test_every_exported_name_resolves():
@@ -27,19 +31,31 @@ def test_dense_path_api_is_gone():
         assert not hasattr(pathidw.pathdist, name)
 
 
+def test_test_only_api_is_gone():
+    for module, name in RETIRED:
+        assert name not in pathidw.__all__
+        assert not hasattr(pathidw, name)
+        assert not hasattr(getattr(pathidw, module), name)
+    assert not hasattr(pathidw.GridGeometry, "cell_of")
+    assert not hasattr(pathidw.PointSet, "value_range")
+
+
 def test_interp_config_fields():
     assert [f.name for f in dataclasses.fields(pathidw.InterpConfig)] == [
         "power", "n_nearest", "max_distance"]
 
 
 def test_retired_options_stay_gone():
-    # snap_radius, nodata, xll, yll and Scalogram.metric_name had no caller
+    # snap_radius, nodata, xll, yll, Scalogram.metric_name, snap_points'
+    # radius and write_ascii_grid's decimals had no caller outside tests
     def params(f):
         return list(inspect.signature(f).parameters)
 
     assert params(pathidw.interpolate_ipdw) == ["points", "cost", "config", "threads"]
     assert params(pathidw.interpolate_idw) == ["points", "geometry", "config", "mask"]
     assert params(pathidw.snapped_sources) == ["points", "cost"]
+    assert params(pathidw.snap_points) == ["cost", "points"]
+    assert params(pathidw.fileio.write_ascii_grid) == ["raster", "path"]
     assert params(pathidw.rasterize_land) == ["polygons", "geometry", "water_cost",
                                               "land_cost"]
     assert params(pathidw.make_scene) == ["kind", "ncols", "nrows", "cellsize", "step",

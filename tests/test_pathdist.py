@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pathidw import (
+    DEFAULT_SNAP_RADIUS,
     CostSurface,
     GridGeometry,
     InterpConfig,
@@ -17,7 +18,6 @@ from pathidw import (
     move_graph,
     nearest_sources,
     snap_points,
-    snap_to_water,
     snapped_sources,
 )
 from pathidw import pathdist
@@ -68,8 +68,8 @@ def field(cost, source):
     return fields(cost, [source])[0]
 
 
-class TestDistanceField:
-    """In-water distances from one source cell (``nearest_sources``, all points)."""
+class TestAllSourcesMode:
+    """``nearest_sources`` in all-points mode: one in-water distance row per source cell."""
 
     def test_straight_row(self):
         assert np.array_equal(field(water(1, 3), (0, 0)), [[0.0, 60.0, 120.0]])
@@ -204,6 +204,21 @@ class TestDistanceField:
         after = field(surface(harder), (0, 0))
         assert np.all(after >= before)
 
+    def test_duplicates_share_results(self):
+        got = fields(water(3, 3), [(0, 0), (2, 2), (0, 0)])
+        assert len(got) == 3
+        assert got[0, 0, 0] == 0.0
+        assert np.array_equal(got[0], got[2])
+
+    def test_empty_input(self):
+        dist, src = nearest_sources(water(2, 2), [])
+        assert dist.shape == (0, 4)
+        assert src.shape == (0, 1)
+
+    def test_validates_every_cell(self):
+        with pytest.raises(ValueError):
+            nearest_sources(water(2, 2), [(0, 0), (5, 5)])
+
 
 class TestMoveGraph:
     def test_edge_count_open_water(self):
@@ -249,68 +264,65 @@ class TestMoveGraph:
         assert np.array_equal(g.toarray(), expect)
 
 
-class TestDenseRows:
-    """``nearest_sources`` in all-points mode: one distance row per source cell."""
+def one_point(x, y):
+    return PointSet(np.array([x]), np.array([y]), np.zeros(1))
 
-    def test_duplicates_share_results(self):
-        got = fields(water(3, 3), [(0, 0), (2, 2), (0, 0)])
-        assert len(got) == 3
-        assert got[0, 0, 0] == 0.0
-        assert np.array_equal(got[0], got[2])
 
-    def test_empty_input(self):
-        dist, src = nearest_sources(water(2, 2), [])
-        assert dist.shape == (0, 4)
-        assert src.shape == (0, 1)
-
-    def test_validates_every_cell(self):
-        with pytest.raises(ValueError):
-            nearest_sources(water(2, 2), [(0, 0), (5, 5)])
+def snap_cells(cost, x, y, radius):
+    """``_snap``'s cells for points (x, y) within ``radius``, None where one does not snap."""
+    rows, cols, _ = pathdist._snap(cost, np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float), radius)
+    return [None if r < 0 else (r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 class TestSnapping:
     def test_water_point_stays_in_its_cell(self):
-        assert snap_to_water(water(3, 3), 70.0, 70.0) == (1, 1)
+        assert snap_points(water(3, 3), one_point(70.0, 70.0)) == [(1, 1)]
 
     def test_land_point_moves_to_nearest_water_center(self):
         vals = np.full((3, 3), 10000.0)
         vals[0, 2] = 1.0
         cost = surface(vals)
-        assert snap_to_water(cost, 150.0, 90.0, radius=2) == (0, 2)
+        assert snap_points(cost, one_point(150.0, 90.0)) == [(0, 2)]
 
     def test_tie_goes_to_first_in_row_major_order(self):
         vals = np.full((3, 3), 10000.0)
         vals[1, 0] = vals[1, 2] = 1.0
         cost = surface(vals)
         # Point at the exact center: both water cells are 120 m away.
-        assert snap_to_water(cost, 90.0, 90.0) == (1, 0)
+        assert snap_points(cost, one_point(90.0, 90.0)) == [(1, 0)]
 
     def test_respects_radius(self):
         vals = np.full((1, 5), 10000.0)
         vals[0, 4] = 1.0
         cost = surface(vals)
-        assert snap_to_water(cost, 30.0, 30.0, radius=2) is None
-        assert snap_to_water(cost, 30.0, 30.0, radius=4) == (0, 4)
+        assert snap_cells(cost, [30.0], [30.0], 2) == [None]
+        assert snap_cells(cost, [30.0], [30.0], 4) == [(0, 4)]
+        with pytest.raises(SnapError) as err:
+            snap_points(cost, one_point(30.0, 30.0))
+        assert err.value.failures == [(0, "no water cell within 2 cells")]
 
     def test_outside_extent_never_snaps(self):
-        assert snap_to_water(water(2, 2), -10.0, 30.0) is None
-        assert snap_to_water(water(2, 2), 130.0, 30.0) is None
+        for x in (-10.0, 130.0):
+            with pytest.raises(SnapError) as err:
+                snap_points(water(2, 2), one_point(x, 30.0))
+            assert err.value.failures == [(0, "outside the grid extent")]
 
     def test_snap_points_collects_all_failures(self):
-        vals = np.full((3, 3), 10000.0)
+        vals = np.full((5, 5), 10000.0)
         vals[0, 0] = 1.0
         cost = surface(vals)
         pts = PointSet(
-            x=np.array([-50.0, 170.0, 10.0]),
-            y=np.array([30.0, 10.0, 170.0]),
+            x=np.array([-50.0, 290.0, 10.0]),
+            y=np.array([30.0, 10.0, 290.0]),
             values=np.array([1.0, 2.0, 3.0]),
         )
         with pytest.raises(SnapError) as err:
-            snap_points(cost, pts, radius=1)
+            snap_points(cost, pts)
         failures = err.value.failures
         assert [i for i, _ in failures] == [0, 1]
         assert "outside the grid extent" in failures[0][1]
-        assert "no water cell within 1 cells" in failures[1][1]
+        assert "no water cell within 2 cells" in failures[1][1]
         assert "point 0" in str(err.value) and "point 1" in str(err.value)
 
     def test_snap_points_success_order(self):
@@ -345,21 +357,25 @@ class TestSnapping:
             y = np.concatenate([yll + rng.uniform(-0.2, 1.2, n) * geom.height,
                                 yll + rng.uniform(0, 1, n) * geom.height, lines_y,
                                 half_y, yll + rng.uniform(0, 1, n) * geom.height])
-            radius = case % 5
-            expected = [oracles.snap_window(cost.is_water, xll, yll, cs, xi, yi, radius)
+
+            def scan(radius):
+                return [oracles.snap_window(cost.is_water, xll, yll, cs, xi, yi, radius)
                         for xi, yi in zip(x.tolist(), y.tolist())]
-            assert [snap_to_water(cost, xi, yi, radius=radius)
-                    for xi, yi in zip(x.tolist(), y.tolist())] == expected
+
+            radius = case % 5
+            assert snap_cells(cost, x, y, radius) == scan(radius)
+            expected = scan(DEFAULT_SNAP_RADIUS)
             pts = PointSet(x, y, np.zeros(len(x)))
             if all(cell is not None for cell in expected):
-                assert snap_points(cost, pts, radius=radius) == expected
+                assert snap_points(cost, pts) == expected
                 continue
             with pytest.raises(SnapError) as err:
-                snap_points(cost, pts, radius=radius)
+                snap_points(cost, pts)
+            outside = geom.cells_of(x, y)[0] < 0
             assert err.value.failures == [
-                (i, "outside the grid extent" if geom.cell_of(xi, yi) is None
-                 else f"no water cell within {radius} cells")
-                for i, (xi, yi, cell) in enumerate(zip(x, y, expected)) if cell is None]
+                (i, "outside the grid extent" if outside[i]
+                 else f"no water cell within {DEFAULT_SNAP_RADIUS} cells")
+                for i, cell in enumerate(expected) if cell is None]
 
     def test_water_mask_is_read_once_per_call(self, monkeypatch):
         calls = []
@@ -370,15 +386,16 @@ class TestSnapping:
             return is_water.fget(cost)
 
         monkeypatch.setattr(CostSurface, "is_water", property(counted))
+        # every land cell lies within the snapping radius of water
         vals = np.ones((20, 20))
-        vals[7:13, 7:13] = 10000.0
+        vals[8:12, 8:12] = 10000.0
         cost = surface(vals)
         counts = []
         for n in (1, 10, 200):
             rng = np.random.default_rng(n)
             pts = PointSet(rng.uniform(0, 1200, n), rng.uniform(0, 1200, n), np.zeros(n))
             calls.clear()
-            snap_points(cost, pts, radius=4)
+            snap_points(cost, pts)
             counts.append(len(calls))
         assert counts == [1, 1, 1]
 
@@ -387,12 +404,10 @@ def dense_reference(cost, pts, config):
     """IPDW table and raster from oracle distance fields.
 
     Each source's in-water distances come from ``oracles.relax_distances``
-    on the grid with land set to nodata. The table is selected here:
-    nearest-n with more than n sources keeps each column's n nearest by a
-    stable sort, otherwise rows are the sources in input order and the
-    sources are the (sources, 1) column 0, 1, .... The raster
-    is the shared estimator over that table, whose arithmetic
-    test_interpolate.py checks against ``oracles.shepard_direct``.
+    on the grid with land set to nodata, and ``oracles.table`` selects the
+    table from them. The raster is the shared estimator over that table,
+    whose arithmetic test_interpolate.py checks against
+    ``oracles.shepard_direct``.
     Returns ((distances, sources), raster values).
     """
     cells, values = snapped_sources(pts, cost=cost)
@@ -400,12 +415,7 @@ def dense_reference(cost, pts, config):
     edges = oracles.grid_edges(land_masked(cost), cost.raster.nodata, cost.water_cost,
                                cost.geometry.cellsize)
     dist = np.array([relax_field(cost, cell, edges).ravel()[water_flat] for cell in cells])
-    src = np.arange(len(dist))[:, None]
-    if config.mode == "within":
-        dist = np.where(dist <= config.max_distance, dist, np.inf)
-    if config.mode == "nearest" and len(dist) > config.n_nearest:
-        src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
-        dist = np.take_along_axis(dist, src, axis=0)
+    dist, src = oracles.table(dist, config)
     est, has = _estimate(dist, values[src], config)
     out = np.full(cost.geometry.n_cells, -9999.0)
     out[water_flat[has]] = est[has]

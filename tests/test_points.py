@@ -46,11 +46,3 @@ class TestPointSet:
         pts = PointSet.from_records([(1, 1, 10), (2, 2, 20), (3, 3, 30)])
         sub = pts.subset([2, 0])
         assert list(sub.values) == [30.0, 10.0]
-
-    def test_value_range(self):
-        pts = PointSet.from_records([(0, 0, 2.5), (1, 1, 7.0)])
-        assert pts.value_range() == 4.5
-
-    def test_value_range_empty(self):
-        with pytest.raises(ValueError):
-            PointSet.from_records([]).value_range()

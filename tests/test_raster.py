@@ -18,18 +18,17 @@ def small_geometries():
 
 
 class TestGridGeometry:
-    def test_cell_of_known_cells(self):
+    def test_cells_of_known_cells(self):
         geom = GridGeometry(ncols=2, nrows=2, xll=0.0, yll=0.0, cellsize=60.0)
-        assert geom.cell_of(60.0, 60.0) == (0, 1)
-        assert geom.cell_of(30.0, 30.0) == (1, 0)
-        assert geom.cell_of(-1.0, 30.0) is None
+        rows, cols = geom.cells_of([60.0, 30.0, -1.0], [60.0, 30.0, 30.0])
+        assert rows.tolist() == [0, 1, -1]
+        assert cols.tolist() == [1, 0, -1]
 
     def test_extent_is_half_open(self):
         geom = GridGeometry(ncols=2, nrows=2, xll=0.0, yll=0.0, cellsize=60.0)
-        assert geom.cell_of(0.0, 0.0) == (1, 0)
-        assert geom.cell_of(120.0, 30.0) is None
-        assert geom.cell_of(30.0, 120.0) is None
-        assert geom.cell_of(119.999, 119.999) == (0, 1)
+        rows, cols = geom.cells_of([0.0, 120.0, 30.0, 119.999], [0.0, 30.0, 120.0, 119.999])
+        assert rows.tolist() == [1, -1, -1, 0]
+        assert cols.tolist() == [0, -1, -1, 1]
 
     def test_cells_of_edges_and_outside(self):
         geom = GridGeometry(ncols=3, nrows=2, xll=-30.0, yll=10.0, cellsize=20.0)
@@ -40,8 +39,6 @@ class TestGridGeometry:
         rows, cols = geom.cells_of(x, y)
         assert rows.tolist() == [1, 0, 0, -1, -1, -1, -1, 0, -1, -1]
         assert cols.tolist() == [0, 1, 2, -1, -1, -1, -1, 1, -1, -1]
-        assert [geom.cell_of(a, b) for a, b in zip(x, y)] == [
-            None if r < 0 else (r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
     def test_center_of_known_cells(self):
         geom = GridGeometry(ncols=3, nrows=3, xll=0.0, yll=0.0, cellsize=10.0)
@@ -98,18 +95,16 @@ class TestGridGeometry:
         row = data.draw(st.integers(0, geom.nrows - 1))
         col = data.draw(st.integers(0, geom.ncols - 1))
         x, y = geom.center_of(row, col)
-        assert geom.cell_of(x, y) == (row, col)
+        assert tuple(map(int, geom.cells_of(x, y))) == (row, col)
 
     @given(geom=small_geometries(), data=st.data())
-    def test_cell_of_inside_extent_never_none(self, geom, data):
+    def test_cells_of_inside_extent_never_outside(self, geom, data):
         # Strictly interior points always land in some cell.
         fx = data.draw(st.floats(1e-6, 1 - 1e-6))
         fy = data.draw(st.floats(1e-6, 1 - 1e-6))
         x = geom.xll + fx * geom.width
         y = geom.yll + fy * geom.height
-        cell = geom.cell_of(x, y)
-        assert cell is not None
-        row, col = cell
+        row, col = geom.cells_of(x, y)
         assert 0 <= row < geom.nrows
         assert 0 <= col < geom.ncols
 

@@ -152,10 +152,9 @@ class TestTrack:
     def test_track_points_sit_on_water(self):
         scene = make_scene("two-basin")
         cost = scene.cost()
-        for x, y in zip(scene.track.x, scene.track.y):
-            cell = scene.geometry.cell_of(float(x), float(y))
-            assert cell is not None
-            assert cost.is_water[cell]
+        rows, cols = scene.geometry.cells_of(scene.track.x, scene.track.y)
+        assert (rows >= 0).all()
+        assert cost.is_water[rows, cols].all()
 
     def test_track_is_dense(self):
         scene = make_scene("two-basin")
@@ -191,9 +190,9 @@ class TestTrack:
 
     def test_zero_noise_reproduces_truth(self):
         scene = make_scene("two-basin", noise_sd=0.0)
-        for x, y, v in zip(scene.track.x, scene.track.y, scene.track.values):
-            cell = scene.geometry.cell_of(float(x), float(y))
-            assert v == scene.truth.values[cell]
+        rows, cols = scene.geometry.cells_of(scene.track.x, scene.track.y)
+        assert (rows >= 0).all()
+        assert np.array_equal(scene.track.values, scene.truth.values[rows, cols])
 
     def test_scene_records_parameters(self):
         scene = make_scene("gradient", step=3.0, noise_sd=0.25, seed=12)
