@@ -96,13 +96,16 @@ def snapped_sources(points: PointSet, *, cost: CostSurface
     if len(points) == 0:
         raise ValueError("no measurement points supplied")
     cells = snap_points(cost, points)
-
-    grouped: dict[tuple[int, int], list[float]] = {}
-    for cell, value in zip(cells, points.values):
-        grouped.setdefault(cell, []).append(float(value))
-    unique = list(grouped)
-    means = np.array([np.mean(grouped[cell]) for cell in unique])
-    return unique, means
+    rows, cols = np.array(cells).T
+    _, first, group, counts = np.unique(rows * cost.geometry.ncols + cols, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    # np.mean adds fewer than 8 values one by one in input order, as
+    # bincount does, and sums 8 or more pairwise, so those groups keep it
+    means = np.bincount(group, weights=points.values) / counts
+    for g in np.flatnonzero(counts >= 8):
+        means[g] = np.mean(points.values[group == g])
+    seen = np.argsort(first)
+    return [cells[i] for i in first[seen]], means[seen]
 
 
 def _estimate(dist: np.ndarray, vals: np.ndarray,

@@ -14,9 +14,11 @@ Land splits the water into components that no route joins. The nearest-k
 search numbers the water nodes and table columns by (component,
 row-major), so each component is one node range and column slice, and
 each Dijkstra call runs on one range with some of its component's
-sources. One loop certifies and widens: each pass clears the pending
-columns and refills them, searching small or sparsely sourced components
-unbounded and the rest within a radius that grows each pass. Each column
+sources. It takes two passes. The first searches small or sparsely
+sourced components unbounded and the rest within a radius R, each chunk
+of sources on the band of rows that a path of cost R can reach. The
+second clears the columns still short of k labels within R and refills
+them, bounding each one through its certified neighbours. Each column
 lies in one component, whose sources reach it in ascending order, so a
 stable merge keeps equal distances in source order, as one search over
 all sources would.
@@ -30,7 +32,6 @@ import numbers
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .costsurface import CostSurface
 from .errors import SnapError
@@ -72,18 +73,21 @@ def move_graph(cost: CostSurface) -> sparse.csr_matrix:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
-# sources per Dijkstra call: a chunk's (sources x component cells) block is
+# sources per Dijkstra call: a chunk's (sources x window cells) block is
 # the search's largest temporary next to the neighbor table itself
 _CHUNK = 32
-# radius factor per retry: on the plume benchmark scene the first pass
-# certifies 99.7% of cells and one retry at 1.5x the rest; doubling makes
-# that retry cost twice as much
-_GROWTH = 1.5
+# start radius, in radii of a disc holding k sources at the mean density:
+# on the 150x150 plume benchmark scene (k=10) 1.7 certifies 98.5% of the
+# cells in the first pass and 2.0 99.7%, but a second pass bounded by
+# certified neighbours is cheap, and 1.7 settled the fewest labels and ran
+# fastest of 1.5, 1.6, 1.7, 1.8 and 2.0
+_RADIUS = 1.7
 # target columns merged at once: the merge's (k + _CHUNK) x columns
 # temporaries stay a few MB however many targets a chunk reaches
 _TILE = 2048
-# relative slack on the Euclidean lower bound, far above the rounding of
-# path sums and of the bound itself, so pruning never drops a true neighbor
+# relative slack on the Euclidean and neighbour bounds, far above the
+# rounding of path sums and of the bounds themselves, so pruning or a window
+# never drops a true neighbor
 _BOUND_SLACK = 1e-9
 
 
@@ -116,16 +120,19 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     then the (sources, 1) column ``0, 1, ...``, which broadcasts against
     the distances; an unreachable source has an inf distance only.
 
-    In nearest-k mode one loop of passes fills the table; each pass clears
-    the pending targets' columns and refills them by Dijkstra. A water
-    component that holds at most k sources, or that a disc of the starting
-    radius R would mostly cover, is searched unbounded in the first pass and
-    is then done. The others are bounded by R, which starts at twice the
-    radius of a disc that holds k sources at the mean density. A target there
-    is certified once its k-th label is within R, since every source beyond
-    R is farther. The rest stay pending, R grows by ``_GROWTH``, and the
-    next pass runs from the sources whose straight-line lower bound reaches
-    a pending target in their own component.
+    In nearest-k mode two passes fill the table by Dijkstra. A water
+    component that holds at most k sources, or at most 8 k N / S of the N
+    water cells for S sources, is searched unbounded in the first pass. The
+    others are bounded by R, 1.7 times the radius of a disc that holds k
+    sources at the mean density, and each call runs on the rows within
+    R / (water_cost * cellsize) of its sources. A target there is certified
+    once its k-th label is within R, since every source beyond R is farther.
+    The second pass clears the pending targets and bounds each one's k-th
+    label by U(t), the least k-th label of a certified cell plus the path
+    from it. It runs again only the sources whose straight-line lower bound
+    reaches a pending target of their own component within U, each chunk
+    bounded by the largest U it must reach, so every pending target is
+    certified then.
     """
     if k is not None and max_distance is not None:
         raise ValueError("choose one of k and max_distance")
@@ -151,7 +158,7 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
 
 
 def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
-    """``nearest_sources``' nearest-k table, refilled pass by pass.
+    """``nearest_sources``' nearest-k table, filled in two passes.
 
     Component c is the node range and column slice ``bounds[c]:bounds[c + 1]``,
     so a Dijkstra call runs on its rows alone, renumbered from 0, from up to
@@ -173,60 +180,110 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     # only the relabelled arrays are searched; the caller holds no graph
     del graph, relabelled
     src_comp = comp[nodes]
-    # R0 = 2 * water_cost * sqrt(k * water_area / (pi * n_src)); its disc
-    # spans 4 k n_water / n_src cells, and a component at most twice that,
-    # or with at most k sources, is searched whole
-    cs, wc = cost.geometry.cellsize, cost.water_cost
-    radius = 2.0 * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
     per_comp = np.bincount(src_comp, minlength=len(bounds) - 1)
+    # each component's sources in ascending order
+    groups = np.split(np.argsort(src_comp, kind="stable"), np.cumsum(per_comp)[:-1])
+    # R = _RADIUS * water_cost * sqrt(k * water_area / (pi * n_src)); a
+    # component with at most k sources, or of at most 8 k n_water / n_src
+    # cells (twice a disc of twice the mean-density radius), is searched whole
+    cs, wc = cost.geometry.cellsize, cost.water_cost
+    radius = _RADIUS * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
     whole = (per_comp <= k) | (np.diff(bounds) <= 8.0 * k * n_water / n_src)
 
+    # table columns are in (component, row-major) order, so each component's
+    # rows ascend along its columns
     rows, cols = np.divmod(water_flat[order], cost.geometry.ncols)
-    xy = np.column_stack([cols, rows]) * cs
     dist = np.full((k, n_water), np.inf)
     src = np.full((k, n_water), -1)
-    # Every bounded component holds more than k sources, so the loop ends
-    # once the radius spans it.
-    candidates = np.flatnonzero(~whole[src_comp])
-    active = np.arange(n_src)
+
+    def component(c):
+        a, b = bounds[c], bounds[c + 1]
+        lo, hi = indptr[a], indptr[b]
+        return sparse.csr_matrix((data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo),
+                                 shape=(b - a, b - a))
+
+    def search(c, group, limits, pending):
+        """Merge the labels of ``group``, chunk by chunk, into c's pending columns.
+
+        A chunk's call is bounded by the largest of its sources' ``limits``
+        and runs on the window of c's rows that such a path can reach: its
+        cost is at least water_cost times its straight-line length, so it
+        stays within limit / (water_cost * cellsize) rows of its source.
+        """
+        a, b = bounds[c], bounds[c + 1]
+        sub = component(c)
+        for at in range(0, len(group), _CHUNK):
+            part = group[at:at + _CHUNK]
+            limit = limits[at:at + _CHUNK].max()
+            at_src = pos[nodes[part]]
+            lo, hi = a, b
+            if np.isfinite(limit):
+                band = int(limit / (wc * cs) * (1.0 + _BOUND_SLACK))
+                lo, hi = a + np.searchsorted(
+                    rows[a:b], [rows[at_src].min() - band, rows[at_src].max() + band + 1])
+            window = sub if hi - lo == b - a else sub[lo - a:hi - a, lo - a:hi - a]
+            block = csgraph.dijkstra(window, directed=True, indices=at_src - lo, limit=limit)
+            # a label must beat the column's k-th: a tie loses to the
+            # earlier source already there
+            hit = np.flatnonzero(pending[lo:hi] & (block.min(axis=0) < dist[-1, lo:hi]))
+            for tile in range(0, len(hit), _TILE):
+                sel = hit[tile:tile + _TILE]
+                _merge(dist, src, block[:, sel], part, lo + sel, first=at == 0)
+            # free this block before the next Dijkstra call allocates its own
+            del block
+
+    # pass 1: every component, bounded by R unless searched whole
     pending = np.ones(n_water, dtype=bool)
-    while pending.any():
-        dist[:, pending] = np.inf
-        for c in np.unique(src_comp[active]):
-            group = active[src_comp[active] == c]
-            a, b = bounds[c], bounds[c + 1]
-            lo, hi = indptr[a], indptr[b]
-            sub = sparse.csr_matrix((data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo),
-                                    shape=(b - a, b - a))
-            for at in range(0, len(group), _CHUNK):
-                part = group[at:at + _CHUNK]
-                block = csgraph.dijkstra(sub, directed=True, indices=local[nodes[part]],
-                                         limit=np.inf if whole[c] else radius)
-                # a label must beat the column's k-th: a tie loses to the
-                # earlier source already there
-                hit = np.flatnonzero(pending[a:b] & (block.min(axis=0) < dist[-1, a:b]))
-                for tile in range(0, len(hit), _TILE):
-                    sel = hit[tile:tile + _TILE]
-                    _merge(dist, src, block[:, sel], part, a + sel, first=at == 0)
-                # free this block before the next Dijkstra call allocates its own
-                del block
-        pending &= np.repeat(~whole, np.diff(bounds)) & np.isinf(dist[-1])
-        radius *= _GROWTH
-        if pending.any():
-            # a source's bound is to its own component's pending targets
-            # only, so a certified component's sources drop out for good
-            open_comp = np.add.reduceat(pending, bounds[:-1]) > 0
-            candidates = candidates[open_comp[src_comp[candidates]]]
-            near = np.empty(len(candidates))
-            for c in np.unique(src_comp[candidates]):
-                mine = src_comp[candidates] == c
-                a, b = bounds[c], bounds[c + 1]
-                near[mine], _ = cKDTree(xy[a:b][pending[a:b]]).query(
-                    xy[pos[nodes[candidates[mine]]]])
-            active = candidates[wc * near <= radius * (1.0 + _BOUND_SLACK)]
+    for c in np.flatnonzero(per_comp):
+        search(c, groups[c], np.full(per_comp[c], np.inf if whole[c] else radius), pending)
+    # a column is certified once its k-th label is within R, since every
+    # source beyond R is farther; the rest are cleared and filled again
+    pending = np.repeat(~whole, np.diff(bounds)) & np.isinf(dist[-1])
+    dist[:, pending] = np.inf
+    xy = np.column_stack([cols, rows]) * cs
+    # pass 2: a source runs again when its straight-line bound reaches a
+    # pending cell t within the bound U(t) on t's k-th label, limited by the
+    # largest such U; a component with no certified cell has no finite U,
+    # so it is searched whole
+    for c in np.flatnonzero(np.add.reduceat(pending, bounds[:-1])):
+        a, b = bounds[c], bounds[c + 1]
+        group = groups[c]
+        bound = _kth_bound(component(c), dist[-1, a:b], pending[a:b]) * (1.0 + _BOUND_SLACK)
+        target = xy[a:b][pending[a:b]]
+        reach = np.empty(len(group))
+        # chunked, so the (sources x pending cells) test is no larger than a block
+        for at in range(0, len(group), _CHUNK):
+            s = xy[pos[nodes[group[at:at + _CHUNK]]]]
+            near = wc * np.hypot(s[:, :1] - target[:, 0], s[:, 1:] - target[:, 1]) <= bound
+            reach[at:at + _CHUNK] = np.where(near, bound, -np.inf).max(axis=1)
+        keep = reach >= 0
+        search(c, group[keep], reach[keep], pending)
     src[np.isinf(dist)] = -1
     # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous
     return dist.take(pos, axis=1), src.take(pos, axis=1)
+
+
+def _kth_bound(sub, kth, pending):
+    """Upper bounds on the pending cells' k-th labels from certified neighbours.
+
+    A certified cell u has k sources within ``kth[u]``, so a cell t has k
+    within ``kth[u] + path(u, t)`` (Erwig, "The graph Voronoi diagram with
+    applications", Networks 36, 2000). One Dijkstra call from a virtual
+    node joined to every certified neighbour of a pending cell, with weight
+    ``kth[u]``, gives the least such bound over paths through pending cells
+    and those neighbours. In a component with a certified cell every
+    pending cell gets a finite bound, since the component is connected.
+    """
+    keep = pending.copy()
+    keep[sub[pending].indices] = True
+    idx = np.flatnonzero(keep)
+    g = sub[idx][:, idx]
+    edge = np.flatnonzero(~pending[idx])
+    n = len(idx)
+    g = sparse.csr_matrix((np.concatenate([g.data, kth[idx[edge]]]),
+                           np.concatenate([g.indices, edge]),
+                           np.append(g.indptr, g.nnz + len(edge))), shape=(n + 1, n + 1))
+    return csgraph.dijkstra(g, directed=True, indices=n)[:n][pending[idx]]
 
 
 def snap_points(cost: CostSurface, points: PointSet) -> list[tuple[int, int]]:

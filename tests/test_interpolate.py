@@ -19,6 +19,7 @@ from pathidw import (
     interpolate_idw,
     interpolate_ipdw,
     nearest_sources,
+    snap_points,
     snapped_sources,
 )
 from pathidw import interpolate, pathdist
@@ -180,6 +181,23 @@ class TestSnappedSources:
         cells, values = snapped_sources(pts, cost=cost)
         assert cells == [(1, 0), (0, 1)]
         assert np.array_equal(values, [3.0, 9.0])
+
+    def test_means_equal_np_mean_per_cell(self):
+        # groups of 1 to ~40 points, so that np.mean sums some of them one
+        # by one and some pairwise, with -0.0 and mixed magnitudes
+        rng = np.random.default_rng(8)
+        cost = surface(np.ones((3, 4)))
+        for n in (1, 7, 8, 9, 60, 400):
+            xy = rng.integers(0, 240, size=(n, 2)) * [1.0, 0.75]
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 6, size=n)
+            values[rng.random(n) < 0.1] = -0.0
+            pts = PointSet(xy[:, 0], xy[:, 1], values)
+            grouped = {}
+            for cell, value in zip(snap_points(cost, pts), values):
+                grouped.setdefault(cell, []).append(float(value))
+            cells, means = snapped_sources(pts, cost=cost)
+            assert cells == list(grouped)
+            assert means.tobytes() == np.array([np.mean(v) for v in grouped.values()]).tobytes()
 
     def test_empty_points_rejected(self):
         cost = surface(np.ones((2, 2)))

@@ -524,6 +524,72 @@ def two_bounded_basins():
     return cost, points_on_cells(cost, lattice + corner, rng)
 
 
+def pool_and_strip():
+    """A pool with a point on every cell, and a long strip with four: (cost, points).
+
+    A land row parts the 6x8 pool (48 points, rows 0-5) from the 1x120
+    strip in row 7, whose points sit 4 cells apart at its left end. At k=1
+    the first radius spans under two cells, so the first chunk of pool points
+    (rows 0-3) runs on rows 0-4 only, and the strip's cells past column 13
+    stay pending, most of them with pending cells alone beside them. At k=3
+    no strip cell has 3 points within the first radius.
+    """
+    vals = np.full((8, 120), 10000.0)
+    vals[:6, :8] = 1.0
+    vals[7, :] = 1.0
+    cost = surface(vals)
+    cells = [(r, c) for r in range(6) for c in range(8)] + [(7, c) for c in range(0, 16, 4)]
+    return cost, points_on_cells(cost, cells, np.random.default_rng(4))
+
+
+def spy_dijkstra(monkeypatch):
+    """Record every ``csgraph.dijkstra`` call as (graph, source indices, limit).
+
+    The limit is None for a call that passes none.
+    """
+    calls = []
+    real = pathdist.csgraph.dijkstra
+
+    def spy(graph, *args, **kwargs):
+        calls.append((graph, np.atleast_1d(kwargs["indices"]), kwargs.get("limit")))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
+    return calls
+
+
+def chunk_calls(cost, cells, basins, calls):
+    """The basin, window and limit of each call that passes a limit.
+
+    ``basins`` maps a name to a basin's cell mask. A call must run on a
+    window ``g[lo:lo + n, lo:lo + n]`` of one basin's move graph g, its
+    cells in row-major order, whose nodes at the call's source indices are
+    source cells. Returns (name, lo, n, limit) per call.
+    """
+    water_flat = np.flatnonzero(cost.is_water.ravel())
+    graph = move_graph(cost)
+    source_flat = [r * cost.geometry.ncols + c for r, c in cells]
+    parts = []
+    for name, mask in basins.items():
+        flat = np.flatnonzero((mask & cost.is_water).ravel())
+        nodes = np.searchsorted(water_flat, flat)
+        parts.append((name, np.isin(flat, source_flat), graph[nodes][:, nodes].toarray()))
+    found = []
+    for g, indices, limit in calls:
+        if limit is None:
+            continue
+        g, n = g.toarray(), g.shape[0]
+        where = set()
+        for name, is_source, basin in parts:
+            los = np.arange(len(basin) - n + 1)
+            ok = is_source[los[:, None] + indices].all(axis=1)
+            where |= {(name, int(lo)) for lo in los[ok]
+                      if np.array_equal(basin[lo:lo + n, lo:lo + n], g)}
+        assert len({name for name, _ in where}) == 1, where
+        found.append((*min(where), n, limit))
+    return found
+
+
 class TestNearestSources:
     @given(data=st.data())
     def test_random_grids_match_dense_reference(self, data):
@@ -602,61 +668,90 @@ class TestNearestSources:
     def test_each_search_runs_on_one_basin(self, monkeypatch):
         cost, pts = four_basins()
         cells, _ = snapped_sources(pts, cost=cost)
-        sizes = []
-        real = pathdist.csgraph.dijkstra
-
-        def spy(graph, *args, **kwargs):
-            sizes.append(graph.shape[0])
-            return real(graph, *args, **kwargs)
-
-        monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
+        r, c = np.indices((16, 16))
+        basins = {"top left": (r < 7) & (c < 7), "top right": (r < 7) & (c > 7),
+                  "bottom left": (r > 7) & (c < 7), "bottom right": (r > 7) & (c > 7)}
+        calls = spy_dijkstra(monkeypatch)
         for k in (1, 3, 10):
             nearest_sources(cost, cells, k=k)
-        # the source-free top-right basin (56 cells) is never searched
-        assert set(sizes) == {49, 56, 64}
+        # the source-free top-right basin is never searched
+        searched = {name for name, _, _, _ in chunk_calls(cost, cells, basins, calls)}
+        assert searched == {"top left", "bottom left", "bottom right"}
 
     @pytest.mark.parametrize("water_cost", [1.0, 0.5])
     def test_sources_in_one_corner_widen_the_radius(self, water_cost, monkeypatch):
-        # Far cells cannot find k sources within the starting radius, so
-        # the search retries them at a growing radius, pass after pass. With
-        # water_cost 0.5 the straight-line pruning bound must scale by it too.
+        # Far cells cannot find k sources within the first radius, so the
+        # second pass runs the sources again, bounded by what the far cells'
+        # certified neighbours have found. With water_cost 0.5 the
+        # straight-line pruning bound and the row window must scale by it too.
         cost, pts = corner_scene(water_cost)
-        limits = []
-        real = pathdist.csgraph.dijkstra
-
-        def spy(*args, **kwargs):
-            limits.append(kwargs.get("limit", np.inf))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
         config = InterpConfig.nearest(2)
         assert_matches_dense(cost, pts, config)
-        passes = list(dict.fromkeys(lim for lim in limits if np.isfinite(lim)))
-        assert len(passes) >= 3
-        assert all(b == pathdist._GROWTH * a for a, b in zip(passes, passes[1:]))
-        # the last radius spans the farthest cell's second-nearest source
+        calls = spy_dijkstra(monkeypatch)
         dist, _ = nearest_sources(cost, snapped_sources(pts, cost=cost)[0], k=2)
-        assert passes[-2] < dist[1].max() <= passes[-1]
+        # all 20 sources fit one chunk, so each pass is one bounded call: the
+        # first radius falls short of the farthest cell's second-nearest
+        # source, and the second pass reaches it
+        limits = [limit for _, _, limit in calls if limit is not None]
+        assert len(limits) == 2
+        assert limits[0] < dist[1].max() <= limits[1] < np.inf
 
     def test_certified_basin_keeps_its_columns_while_another_widens(self, monkeypatch):
         # Every lattice-basin cell has its 2 nearest sources within the first
         # radius, so it is certified in the first pass, while the corner
-        # basin is retried pass after pass. Across the one-cell wall the
-        # lattice sources' straight-line bound reaches the corner basin's
-        # pending cells, but those are another component's, so the lattice
-        # basin is searched in the first pass only and its columns stay.
+        # basin needs a second. Across the one-cell wall the lattice sources'
+        # straight-line bound reaches the corner basin's pending cells, but
+        # those are another component's, so the lattice basin is searched in
+        # the first pass only and its columns stay. The lattice certifies at
+        # a first radius of 2 mean-density radii, not at 1.7.
+        monkeypatch.setattr(pathdist, "_RADIUS", 2.0)
         cost, pts = two_bounded_basins()
-        limits = {}
-        real = pathdist.csgraph.dijkstra
-
-        def spy(graph, *args, **kwargs):
-            limits.setdefault(graph.shape[0], []).append(kwargs["limit"])
-            return real(graph, *args, **kwargs)
-
-        monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
         assert_matches_dense(cost, pts, InterpConfig.nearest(2))
-        passes = list(dict.fromkeys(limits[30 * 32]))
-        assert len(passes) >= 3 and set(limits[30 * 28]) == {passes[0]}
-        dist, _ = nearest_sources(cost, snapped_sources(pts, cost=cost)[0], k=2)
+        cells = snapped_sources(pts, cost=cost)[0]
+        calls = spy_dijkstra(monkeypatch)
+        dist, _ = nearest_sources(cost, cells, k=2)
+        col = np.indices((30, 61))[1]
+        limits = {}
+        for name, _, _, limit in chunk_calls(cost, cells, {"lattice": col < 28,
+                                                           "corner": col > 28}, calls):
+            limits.setdefault(name, []).append(limit)
+        first, second = limits["corner"]
+        assert limits["lattice"] == [first]
         left = np.nonzero(cost.is_water)[1] < 28
-        assert dist[1, left].max() <= passes[0] < dist[1, ~left].max()
+        assert dist[1, left].max() <= first < dist[1, ~left].max() <= second
+
+    @pytest.mark.parametrize("tile", [3, 7])
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_second_pass_matches_dense_reference(self, k, chunk, tile, monkeypatch):
+        # At k=3 the strip is searched whole in the second pass, and at k=1
+        # its far cells' bounds come through chains of pending cells.
+        monkeypatch.setattr(pathdist, "_CHUNK", chunk)
+        monkeypatch.setattr(pathdist, "_TILE", tile)
+        assert_matches_dense(*pool_and_strip(), InterpConfig.nearest(k))
+
+    def test_pool_and_strip_passes(self, monkeypatch):
+        cost, pts = pool_and_strip()
+        cells = snapped_sources(pts, cost=cost)[0]
+        r = np.indices((8, 120))[0]
+        basins = {"pool": r < 6, "strip": r == 7}
+        calls = spy_dijkstra(monkeypatch)
+        dist, _ = nearest_sources(cost, cells, k=1)
+        found = chunk_calls(cost, cells, basins, calls)
+        pool = [(lo, n) for name, lo, n, _ in found if name == "pool"]
+        strip = [limit for name, _, _, limit in found if name == "strip"]
+        # a window strictly smaller than its component: points in rows 0-3,
+        # a radius under two cells, rows 0-4 of the pool's six
+        assert pool[0] == (0, 40)
+        # the strip's cells from column 14 on are pending after the first
+        # pass, so cells 15-17 have no certified neighbour, and the second
+        # pass still reaches the far end
+        d = dist[0, -120:]
+        assert d[13] <= strip[0] < d[14] and d.max() <= strip[1] < np.inf
+        assert len(strip) == 2
+        # at k=3 no strip cell certifies: a bounded call, then a whole one
+        calls.clear()
+        nearest_sources(cost, cells, k=3)
+        strip = [limit for name, _, _, limit in chunk_calls(cost, cells, basins, calls)
+                 if name == "strip"]
+        assert np.isfinite(strip[0]) and strip[1:] == [np.inf]
