@@ -11,46 +11,20 @@ Example:
 """
 
 import argparse
-import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# the script's own directory is on sys.path, so the experiment script imports
+# as a module, and it puts src/ on the path before importing pathidw
+from run_two_basin_experiment import run_scene
 
-from pathidw.cli import main as pathidw
 from pathidw.fileio import read_error_report
-
-SCENE_CELLS = 100
-CELLSIZE = 60.0
-MESH_CELLSIZE = 1095.4
-
-
-def cli(*args):
-    argv = [str(a) for a in args]
-    rc = pathidw(argv)
-    if rc != 0:
-        raise SystemExit(f"pathidw {argv[0]} exited with {rc}")
 
 
 def run_step(step_dir: Path, seed: int, step: float, noise: float):
-    step_dir.mkdir(parents=True, exist_ok=True)
-    cli("synth", "--scene", "two-basin", "--step", step, "--noise", noise,
-        "--seed", seed, "--out-dir", step_dir)
-    extent = f"0,0,{SCENE_CELLS * CELLSIZE:g},{SCENE_CELLS * CELLSIZE:g}"
-    cli("costraster", "--polygons", step_dir / "polygons.txt",
-        "--extent", extent, "--cellsize", CELLSIZE, "--out", step_dir / "cost.asc")
-    cli("split", "--points", step_dir / "track.csv",
-        "--mesh-cellsize", MESH_CELLSIZE, "--per-cell", 1, "--seed", seed,
-        "--train-out", step_dir / "train.csv", "--valid-out", step_dir / "valid.csv")
-    maes = {}
-    for method in ("ipdw", "idw"):
-        cli("interpolate", "--method", method, "--train", step_dir / "train.csv",
-            "--cost", step_dir / "cost.asc", "--out", step_dir / f"pred_{method}.asc")
-        cli("crossval", "--pred", step_dir / f"pred_{method}.asc",
-            "--valid", step_dir / "valid.csv",
-            "--out", step_dir / f"report_{method}.csv")
-        maes[method] = read_error_report(step_dir / f"report_{method}.csv").mae
-    return maes
+    run_scene(step_dir, seed, step, noise)
+    return {method: read_error_report(step_dir / f"report_{method}.csv").mae
+            for method in ("ipdw", "idw")}
 
 
 def parse_args():

@@ -15,6 +15,7 @@ internal consistency failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -52,7 +53,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # each subcommand NAME runs _cmd_NAME, looked up at call time
+        return globals()[f"_cmd_{args.command}"](args)
     except (InputError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -61,6 +63,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathidw",
@@ -75,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--water-cost", type=float, default=DEFAULT_WATER_COST)
     p.add_argument("--land-cost", type=float, default=DEFAULT_LAND_COST)
     p.add_argument("--out", required=True, help="output ASCII grid")
-    p.set_defaults(func=_cmd_costraster)
 
     p = sub.add_parser("scalogram", help="edge density across cellsizes")
     p.add_argument("--polygons", required=True)
@@ -83,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cellsizes", required=True,
                    help="range start..stop:step (inclusive) or comma list")
     p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=_cmd_scalogram)
 
     p = sub.add_parser("split", help="grid-stratified train/validation split")
     p.add_argument("--points", required=True, help="survey CSV")
@@ -92,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--train-out", default="train.csv")
     p.add_argument("--valid-out", default="valid.csv")
-    p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("interpolate", help="predict a raster from training points")
     p.add_argument("--method", choices=("ipdw", "idw"), required=True)
@@ -101,13 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=float, default=_DEFAULT_CONFIG.power)
     p.add_argument("--neighbors", type=int, default=_DEFAULT_CONFIG.n_nearest)
     p.add_argument("--out", required=True, help="output ASCII grid")
-    p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("crossval", help="score a prediction against held-out points")
     p.add_argument("--pred", required=True, help="prediction raster (ASCII grid)")
     p.add_argument("--valid", required=True, help="validation CSV")
     p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=_cmd_crossval)
 
     p = sub.add_parser("compare", help="paired test between two report sets")
     p.add_argument("--reports-a", nargs="+", required=True,
@@ -116,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cross-validation CSVs for method B, paired with A")
     p.add_argument("--out-test", required=True, help="paired test CSV")
     p.add_argument("--out-table", required=True, help="range-vs-error CSV")
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("--scene", choices=SCENE_KINDS, required=True)
@@ -130,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cellsize", type=float, default=60.0)
     p.add_argument("--out-dir", required=True,
                    help="directory for polygons.txt, truth.asc, track.csv")
-    p.set_defaults(func=_cmd_synth)
 
     return parser
 
@@ -216,10 +212,15 @@ def _cmd_scalogram(args) -> int:
     return 0
 
 
-def _cmd_split(args) -> int:
-    points, skipped = read_points(args.points)
+def _read_points(path):
+    points, skipped = read_points(path)
     if skipped:
-        _note(f"skipped {skipped} NA row(s) in {args.points}")
+        _note(f"skipped {skipped} NA row(s) in {path}")
+    return points
+
+
+def _cmd_split(args) -> int:
+    points = _read_points(args.points)
     result = grid_split(points, args.mesh_cellsize, args.per_cell, args.seed)
     meta = {
         "command": "split",
@@ -255,9 +256,7 @@ def _load_cost_surface(path) -> CostSurface:
 
 
 def _cmd_interpolate(args) -> int:
-    points, skipped = read_points(args.train)
-    if skipped:
-        _note(f"skipped {skipped} NA row(s) in {args.train}")
+    points = _read_points(args.train)
     cost = _load_cost_surface(args.cost)
     config = InterpConfig(power=args.power, n_nearest=args.neighbors)
     if args.method == "ipdw":
@@ -271,9 +270,7 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_crossval(args) -> int:
     pred = read_ascii_grid(args.pred)
-    valid, skipped = read_points(args.valid)
-    if skipped:
-        _note(f"skipped {skipped} NA row(s) in {args.valid}")
+    valid = _read_points(args.valid)
     report = cross_validate(pred, valid)
     meta = {"command": "crossval", "pred": args.pred, "valid": args.valid}
     write_error_report(report, args.out, metadata=meta)

@@ -53,6 +53,29 @@ def _parse_row(tokens, path, line: int) -> list[float]:
     return values
 
 
+def _parse_table(rows, width: int, path) -> np.ndarray:
+    """A (len(rows), width) float array from (line, tokens) rows.
+
+    One bulk numpy parse; only when it fails or meets a non-finite value are
+    the rows walked to raise a FormatError at the first bad row or token.
+    """
+    try:
+        values = np.array([tokens for _, tokens in rows], dtype=float)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (len(rows), width) and np.isfinite(values).all():
+        return values
+    # numpy parses a token as float() does, spaces included; row by row,
+    # this finds the first bad row or token and reports where it is
+    values = np.empty((len(rows), width))
+    for i, (line, tokens) in enumerate(rows):
+        if len(tokens) != width:
+            raise FormatError(f"row {i}: expected {width} values, got {len(tokens)}",
+                              path=str(path), line=line)
+        values[i] = _parse_row(tokens, path, line)
+    return values
+
+
 def _read_preamble(lines) -> tuple[dict[str, str], list[tuple[int, str]]]:
     """Split '#'-prefixed metadata from data lines; returns (meta, numbered lines)."""
     meta: dict[str, str] = {}
@@ -76,18 +99,16 @@ def _read_preamble(lines) -> tuple[dict[str, str], list[tuple[int, str]]]:
 # ---------------------------------------------------------------------------
 
 def write_points(points: PointSet, path, *, metadata: dict | None = None):
-    with open(path, "w") as f:
-        _write_preamble(f, metadata)
-        f.write(POINTS_HEADER + "\n")
-        for x, y, v in zip(points.x, points.y, points.values):
-            f.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+    rows = (f"{float(x)!r},{float(y)!r},{float(v)!r}"
+            for x, y, v in zip(points.x, points.y, points.values))
+    write_csv_table(path, metadata, POINTS_HEADER, rows)
 
 
 def read_points(path) -> tuple[PointSet, int]:
     """Parse a survey CSV; returns (points, n_skipped) where skipped rows had NA values.
 
-    Raises FormatError (with the line number) on a missing header or any
-    malformed row.
+    Raises FormatError (with the line, and the column of a bad number) on a
+    missing header or any malformed row.
     """
     with open(path) as f:
         _, data = _read_preamble(f)
@@ -97,28 +118,10 @@ def read_points(path) -> tuple[PointSet, int]:
     if header.replace(" ", "").lower() != POINTS_HEADER:
         raise FormatError(f"expected header '{POINTS_HEADER}', got {header!r}",
                           path=str(path), line=lineno)
-    fields = [row.split(",") for _, row in data[1:]]
-    kept = [f for f in fields if len(f) != 3 or f[2].strip() != "NA"]
-    try:
-        values = np.array(kept, dtype=float)
-    except ValueError:
-        values = None
-    if values is not None and values.shape == (len(kept), 3) and np.isfinite(values).all():
-        return PointSet(values[:, 0], values[:, 1], values[:, 2]), len(fields) - len(kept)
-    # numpy parses a field as float() does, spaces included; row by row,
-    # this finds the first bad row or field and reports where it is
-    records = []
-    skipped = 0
-    for lineno, row in data[1:]:
-        parts = [p.strip() for p in row.split(",")]
-        if len(parts) != 3:
-            raise FormatError(f"expected 3 comma-separated fields, got {len(parts)}",
-                              path=str(path), line=lineno)
-        if parts[2] == "NA":
-            skipped += 1
-            continue
-        records.append(_parse_row(parts, path, lineno))
-    return PointSet.from_records(records), skipped
+    rows = [(lineno, row.split(",")) for lineno, row in data[1:]]
+    kept = [r for r in rows if len(r[1]) != 3 or r[1][2].strip() != "NA"]
+    values = _parse_table(kept, 3, path)
+    return PointSet(values[:, 0], values[:, 1], values[:, 2]), len(rows) - len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +180,12 @@ def read_ascii_grid(path) -> RasterGrid:
     geom = GridGeometry(ncols, nrows, header["xllcorner"], header["yllcorner"],
                         header["cellsize"])
 
-    data_lines = [(i + 1, line) for i, line in enumerate(lines[len(_ASC_KEYS):],
-                                                         start=len(_ASC_KEYS))
-                  if line.strip()]
-    if len(data_lines) != nrows:
-        raise FormatError(f"expected {nrows} data rows, found {len(data_lines)}",
+    rows = [(lineno, line.split()) for lineno, line in
+            enumerate(lines[len(_ASC_KEYS):], start=len(_ASC_KEYS) + 1) if line.strip()]
+    if len(rows) != nrows:
+        raise FormatError(f"expected {nrows} data rows, found {len(rows)}",
                           path=str(path), line=len(lines))
-    rows = [line.split() for _, line in data_lines]
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        values = None
-    if values is not None and values.shape == (nrows, ncols) and np.isfinite(values).all():
-        return RasterGrid(geom, values, header["nodata_value"])
-    # numpy parses a token as float() does; token by token, this finds the
-    # first bad row or token and reports where it is
-    values = np.empty((nrows, ncols))
-    for r, ((lineno, _), tokens) in enumerate(zip(data_lines, rows)):
-        if len(tokens) != ncols:
-            raise FormatError(f"row {r}: expected {ncols} values, got {len(tokens)}",
-                              path=str(path), line=lineno)
-        values[r] = _parse_row(tokens, path, lineno)
+    values = _parse_table(rows, ncols, path)
     return RasterGrid(geom, values, header["nodata_value"])
 
 
@@ -223,38 +211,34 @@ def read_polygons(path) -> PolygonSet:
     """
     with open(path) as f:
         _, data = _read_preamble(f)
-    rings: list[np.ndarray] = []
-    current: list[tuple[float, float]] = []
-    last_line = 0
+    rows = []  # (line, tokens) of every vertex
+    ends = []  # (number of vertex rows before it, line) of every END
     for lineno, line in data:
-        last_line = lineno
         if line == "END":
-            if current:
-                rings.append(_close_ring(current, len(rings), path, lineno))
-                current = []
+            ends.append((len(rows), lineno))
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        tokens = line.split()
+        if len(tokens) != 2:
             raise FormatError(f"expected 'x y' or 'END', got {line!r}",
                               path=str(path), line=lineno)
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise FormatError(f"not a coordinate pair: {line!r}",
-                              path=str(path), line=lineno) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise FormatError(f"non-finite coordinate: {line!r}", path=str(path), line=lineno)
-        current.append((x, y))
-    if current:
-        raise FormatError("unterminated ring (missing END)", path=str(path), line=last_line)
+        rows.append((lineno, tokens))
+    vertices = _parse_table(rows, 2, path)
+    rings: list[np.ndarray] = []
+    start = 0
+    for stop, lineno in ends:
+        if stop > start:
+            rings.append(_close_ring(vertices[start:stop], len(rings), path, lineno))
+        start = stop
+    if start < len(rows):
+        raise FormatError("unterminated ring (missing END)", path=str(path), line=rows[-1][0])
     try:
         return PolygonSet(tuple(rings))
     except PolygonError as err:
         raise FormatError(str(err), path=str(path)) from err
 
 
-def _close_ring(vertices, ring_index, path, lineno) -> np.ndarray:
-    arr = np.array(vertices, dtype=np.float64)
+def _close_ring(arr, ring_index, path, lineno) -> np.ndarray:
+    # arr views the vertex table, so a snap edits that; PolygonSet copies rings
     first, last = arr[0], arr[-1]
     if not np.array_equal(first, last):
         gap = math.hypot(first[0] - last[0], first[1] - last[1])
@@ -299,26 +283,22 @@ def read_error_report(path) -> ErrorReport:
         meta, data = _read_preamble(f)
     if not data or data[0][1].replace(" ", "") != "point_index,observed,predicted,residual":
         raise FormatError("missing error-report header", path=str(path))
-    rows = []
-    for lineno, line in data[1:]:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"expected 4 fields, got {len(parts)}",
-                              path=str(path), line=lineno)
-        _, *values = _parse_row(parts, path, lineno)
+    rows = [(lineno, line.split(",")) for lineno, line in data[1:]]
+    residuals = []
+    for (lineno, tokens), (_, *values) in zip(rows, _parse_table(rows, 4, path).tolist()):
         try:
-            index = int(parts[0])
+            index = int(tokens[0])
         except ValueError:
-            raise FormatError(f"point index is not an integer: {parts[0]!r}",
+            raise FormatError(f"point index is not an integer: {tokens[0]!r}",
                               path=str(path), line=lineno, column=1) from None
-        rows.append((index, *values))
-    if not rows:
+        residuals.append((index, *values))
+    if not residuals:
         raise FormatError("error report holds no residual rows", path=str(path))
     try:
         n_nodata = int(meta.get("n_nodata", 0))
     except ValueError:
         raise FormatError("n_nodata metadata is not an integer", path=str(path)) from None
-    return ErrorReport.from_residuals(rows, n_nodata)
+    return ErrorReport.from_residuals(residuals, n_nodata)
 
 
 def write_paired_test(result: PairedTestResult, path, *, metadata: dict | None = None):

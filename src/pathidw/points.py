@@ -27,15 +27,6 @@ class PointSet:
                                 and np.isfinite(self.values).all()):
             raise ValueError("point coordinates and values must be finite")
 
-    @classmethod
-    def from_records(cls, records) -> "PointSet":
-        """Build from an iterable of (x, y, value) triples."""
-        rec = list(records)
-        if not rec:
-            return cls(np.empty(0), np.empty(0), np.empty(0))
-        arr = np.asarray(rec, dtype=np.float64)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
-
     def __len__(self) -> int:
         return len(self.x)
 

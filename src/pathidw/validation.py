@@ -152,14 +152,13 @@ def cross_validate(predicted: RasterGrid, validation: PointSet) -> ErrorReport:
     return ErrorReport.from_residuals(residuals, len(validation) - len(evaluable))
 
 
-def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:
+def wilcoxon_signed_rank(a, b) -> PairedTestResult:
     """Two-sided paired Wilcoxon signed-rank test of a vs b.
 
     Zero differences are dropped (and counted); tied absolute differences
-    receive mid-ranks. With ``method="auto"`` the exact sign-flip
-    distribution is used for up to 25 retained pairs and the normal
-    approximation (tie and continuity corrected) beyond. The p-value is
-    symmetric in (a, b).
+    receive mid-ranks. The exact sign-flip distribution is used for up to
+    25 retained pairs and the normal approximation (tie and continuity
+    corrected) beyond. The p-value is symmetric in (a, b).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -169,8 +168,6 @@ def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:
         raise ValueError("need at least 2 pairs")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("a and b must be finite")
-    if method not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown method {method!r}")
 
     diffs = a - b
     nonzero = diffs[diffs != 0.0]
@@ -184,8 +181,7 @@ def wilcoxon_signed_rank(a, b, *, method: str = "auto") -> PairedTestResult:
     w_minus = float(ranks[nonzero < 0].sum())
     statistic = w_plus - w_minus
 
-    use_exact = method == "exact" or (method == "auto" and n <= EXACT_LIMIT)
-    if use_exact:
+    if n <= EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w_plus)
         return PairedTestResult(statistic, p, n, n_zero, "exact")
     p = _approx_two_sided_p(ranks, w_plus, n)
@@ -216,19 +212,15 @@ def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     if not np.array_equal(doubled, 2.0 * ranks):
         raise AssertionError("mid-ranks must be multiples of 0.5")
-    total = int(doubled.sum())
-    counts = [0] * (total + 1)
+    # n <= EXACT_LIMIT, so every count (at most 2**n) fits in int64
+    counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
     counts[0] = 1
-    for r in doubled:
-        r = int(r)
-        for s in range(total - r, -1, -1):
-            if counts[s]:
-                counts[s + r] += counts[s]
+    for r in doubled.tolist():
+        counts[r:] = counts[r:] + counts[:-r]
     target = int(round(2.0 * w_plus))
-    n = len(doubled)
-    le = sum(counts[: target + 1])
-    ge = sum(counts[target:])
-    p = 2.0 * min(le, ge) / (1 << n)
+    le = int(counts[: target + 1].sum())
+    ge = int(counts[target:].sum())
+    p = 2.0 * min(le, ge) / (1 << len(doubled))
     return min(1.0, p)
 
 

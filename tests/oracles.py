@@ -11,7 +11,6 @@ engine.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -225,16 +224,6 @@ def spearman_direct(a, b):
     if den == 0.0:
         return None
     return float(ra @ rb) / den
-
-
-def all_subset_rank_sums(ranks):
-    """Every achievable W+ value with multiplicity, via itertools subsets."""
-    sums = []
-    idx = range(len(ranks))
-    for k in range(len(ranks) + 1):
-        for combo in combinations(idx, k):
-            sums.append(sum(ranks[i] for i in combo))
-    return sums
 
 
 def snap_window(water, xll, yll, cellsize, x, y, radius):

@@ -43,6 +43,7 @@ from pathidw.fileio import (
     write_points,
     write_polygons,
 )
+from pathidw.validation import _approx_two_sided_p, _average_ranks
 
 NODATA = -9999.0
 
@@ -430,7 +431,8 @@ def test_criterion_08_signed_rank_exact_and_approximate():
                     b = np.array([0.0, 3.0])
                 else:
                     a, b = diffs, np.zeros(n)
-                got = wilcoxon_signed_rank(a, b, method="exact")
+                got = wilcoxon_signed_rank(a, b)
+                assert got.method == "exact", (n, bits)
                 want_stat, want_p = oracles.wilcoxon_enumerate(diffs)
                 assert got.statistic == want_stat, (n, bits)
                 assert got.p_value == want_p, (n, bits)
@@ -442,8 +444,12 @@ def test_criterion_08_signed_rank_exact_and_approximate():
             mags = _distinct_magnitudes(rng, 25)
             signs = np.where(rng.random(25) < 0.5, 1.0, -1.0)
             a, b = signs * mags, np.zeros(25)
-            p_exact = wilcoxon_signed_rank(a, b, method="exact").p_value
-            p_approx = wilcoxon_signed_rank(a, b, method="approx").p_value
+            exact = wilcoxon_signed_rank(a, b)
+            assert exact.method == "exact"
+            p_exact = exact.p_value
+            # the normal approximation that n > EXACT_LIMIT would take
+            ranks = _average_ranks(mags)
+            p_approx = _approx_two_sided_p(ranks, float(ranks[signs > 0].sum()), 25)
             worst = max(worst, abs(p_exact - p_approx))
         assert worst <= 0.01, f"approximation off by {worst}"
         out["detail"] = (f"{inputs} sign patterns bitwise equal, "

@@ -38,6 +38,32 @@ def square(x0, y0, x1, y1):
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]], dtype=float)
 
 
+class _NoBulkParse:
+    """numpy, except that ``array`` fails, so every reader parses row by row."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array(*args, **kwargs):
+        raise ValueError("bulk parse disabled")
+
+
+def parsed_both_ways(read, monkeypatch):
+    """``read()`` with the bulk parse, then row by row; a FormatError reads as its text."""
+
+    def attempt():
+        try:
+            return read()
+        except FormatError as err:
+            return str(err)
+
+    bulk = attempt()
+    with monkeypatch.context() as patch:
+        patch.setattr(pathidw.fileio, "np", _NoBulkParse())
+        return bulk, attempt()
+
+
 class TestPointsCsv:
     def test_round_trip(self, tmp_path):
         cloud = pts([[1.5, -2.25, 3.125], [1e-7, 2e9, -0.1]])
@@ -65,16 +91,6 @@ class TestPointsCsv:
         assert len(cloud) == 2
         assert list(cloud.values) == [3.0, 8.0]
 
-    class _NoBulkParse:
-        """numpy, except that ``array`` fails, so ``read_points`` parses row by row."""
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def array(*args, **kwargs):
-            raise ValueError("bulk parse disabled")
-
     @pytest.mark.parametrize("body", [
         " 1 , 2 ,3\n4,5, NA \n6 ,\t7,8.5\n1_0,\uff11\uff12,-0\n",
         "1,2,NA\n3,4,NA\n",
@@ -91,15 +107,11 @@ class TestPointsCsv:
         path.write_text("# survey: demo\nx, y, value\n" + body)
 
         def read():
-            try:
-                cloud, skipped = read_points(path)
-            except FormatError as err:
-                return str(err)
+            cloud, skipped = read_points(path)
             return cloud.x.tobytes(), cloud.y.tobytes(), cloud.values.tobytes(), skipped
 
-        bulk = read()
-        monkeypatch.setattr(pathidw.fileio, "np", self._NoBulkParse())
-        assert read() == bulk
+        bulk, row_by_row = parsed_both_ways(read, monkeypatch)
+        assert row_by_row == bulk
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "pts.csv"
@@ -155,7 +167,7 @@ class TestPointsCsv:
         path = tmp / "pts.csv"
         if not records:
             return
-        cloud = PointSet.from_records(records)
+        cloud = pts(records)
         write_points(cloud, path)
         back, _ = read_points(path)
         assert np.array_equal(back.x, cloud.x)
@@ -288,6 +300,21 @@ class TestAsciiGrid:
             read_ascii_grid(path)
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("body", [
+        "1_0 \uff11\uff12 -0\n\u0663 .5 +1.5e+3\n",
+        "1 2 3\n4 5 1e400\n",
+        "1 2 3\n4 x 6\n",
+        "1 2\n4 5 x\n",
+        "1 2 3\nnan 5 6\n",
+    ])
+    def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
+        path = tmp_path / "g.asc"
+        path.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+                        "NODATA_value -1\n" + body)
+        bulk, row_by_row = parsed_both_ways(lambda: read_ascii_grid(path).values.tobytes(),
+                                            monkeypatch)
+        assert row_by_row == bulk
+
     def test_nodata_finer_than_the_decimals_is_rejected(self, tmp_path):
         # -9999.1234567 would be written as -9999.123457 and read back as data;
         # a sentinel with 6 decimals reads back as itself
@@ -368,6 +395,32 @@ class TestPolygonText:
         with pytest.raises(FormatError, match="line 2"):
             read_polygons(path)
 
+    def test_bad_vertex_before_a_missing_end_is_reported_first(self, tmp_path):
+        path = tmp_path / "land.txt"
+        path.write_text("0 0\n1 zero\n1 1\n0 0\n")
+        with pytest.raises(FormatError, match="line 2") as err:
+            read_polygons(path)
+        assert "unterminated" not in str(err.value)
+
+    @pytest.mark.parametrize("body", [
+        "0 0\n10 0\n10 10\n0 0\nEND\n# hole\n1 1\n2 1\n2 2\n1 1\nEND\n",
+        "0 0\n10 0\n10 10\n0 1e-12\nEND\nEND\n",
+        "0 0\n10 0\n10 1e400\n0 0\nEND\n",
+        "0 0\n10 x\n",
+        "0 0\n10 0\n10 10\n0 0\n",
+        "0 0\n1 0\n0 0\nEND\n",
+        "",
+    ])
+    def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
+        path = tmp_path / "land.txt"
+        path.write_text(body)
+
+        def read():
+            return tuple(ring.tobytes() for ring in read_polygons(path).rings)
+
+        bulk, row_by_row = parsed_both_ways(read, monkeypatch)
+        assert row_by_row == bulk
+
     def test_comments_allowed(self, tmp_path):
         path = tmp_path / "land.txt"
         path.write_text("# source: digitized\n0 0\n10 0\n10 10\n0 10\n0 0\nEND\n")
@@ -424,12 +477,31 @@ class TestReportCsv:
         with pytest.raises(FormatError, match=f"line 3, column {column}: non-finite value"):
             read_error_report(path)
 
-    @pytest.mark.parametrize("index", ["1.5", "x"])
+    @pytest.mark.parametrize("index", ["1.5", "x", "1.0"])
     def test_error_report_bad_index_reports_position(self, tmp_path, index):
         path = tmp_path / "report.csv"
         path.write_text(f"point_index,observed,predicted,residual\n{index},1.0,1.5,0.5\n")
         with pytest.raises(FormatError, match="line 2, column 1: "):
             read_error_report(path)
+
+    @pytest.mark.parametrize("body", [
+        "0,1.0,1.5,0.5\n3, 2.0 ,2.5,0.5\n",
+        "0,1.0,1.5,0.5\n1,2.0,oops,0.5\n",
+        "0,1.0,1.5,0.5\n1.5,2.0,2.5,0.5\n",
+        "0,1.0,1.5,0.5\n1,2.0,inf,0.5\n",
+        "0,1.0\n",
+        "",
+    ])
+    def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
+        path = tmp_path / "report.csv"
+        path.write_text("# n_nodata: 2\npoint_index,observed,predicted,residual\n" + body)
+
+        def read():
+            report = read_error_report(path)
+            return report.residuals, report.mae, report.rmse, report.n_nodata
+
+        bulk, row_by_row = parsed_both_ways(read, monkeypatch)
+        assert row_by_row == bulk
 
     def test_paired_test_layout(self, tmp_path):
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
@@ -458,3 +530,28 @@ class TestReportCsv:
         write_error_report(report, p1)
         write_error_report(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# (file body with the token in its second data row, that token's line and column)
+LATER_ROW = {
+    "points": (read_points, "x,y,value\n1,2,3\n4,{},6\n", 3, 2),
+    "grid": (read_ascii_grid, "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+                              "NODATA_value -1\n1 2\n3 {}\n", 8, 2),
+    "polygons": (read_polygons, "0 0\n10 0\n10 {}\n0 0\nEND\n", 3, 2),
+    "report": (read_error_report, "point_index,observed,predicted,residual\n"
+                                  "0,1.0,1.5,0.5\n1,2.0,{},0.5\n", 3, 3),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LATER_ROW))
+@pytest.mark.parametrize("token, message", [
+    ("oops", "not a number: 'oops'"),
+    ("1e400", "non-finite value '1e400'"),
+])
+def test_bad_number_in_a_later_row_reports_line_and_column(tmp_path, fmt, token, message):
+    read, body, line, column = LATER_ROW[fmt]
+    path = tmp_path / "input"
+    path.write_text(body.format(token))
+    with pytest.raises(FormatError, match=f"line {line}, column {column}: {message}") as err:
+        read(path)
+    assert (err.value.line, err.value.column) == (line, column)

@@ -38,6 +38,7 @@ def test_test_only_api_is_gone():
         assert not hasattr(getattr(pathidw, module), name)
     assert not hasattr(pathidw.GridGeometry, "cell_of")
     assert not hasattr(pathidw.PointSet, "value_range")
+    assert not hasattr(pathidw.PointSet, "from_records")
 
 
 def test_interp_config_fields():
@@ -47,7 +48,8 @@ def test_interp_config_fields():
 
 def test_retired_options_stay_gone():
     # snap_radius, nodata, xll, yll, Scalogram.metric_name, snap_points'
-    # radius and write_ascii_grid's decimals had no caller outside tests
+    # radius, write_ascii_grid's decimals and wilcoxon_signed_rank's method
+    # had no caller outside tests
     def params(f):
         return list(inspect.signature(f).parameters)
 
@@ -56,6 +58,7 @@ def test_retired_options_stay_gone():
     assert params(pathidw.snapped_sources) == ["points", "cost"]
     assert params(pathidw.snap_points) == ["cost", "points"]
     assert params(pathidw.fileio.write_ascii_grid) == ["raster", "path"]
+    assert params(pathidw.wilcoxon_signed_rank) == ["a", "b"]
     assert params(pathidw.rasterize_land) == ["polygons", "geometry", "water_cost",
                                               "land_cost"]
     assert params(pathidw.make_scene) == ["kind", "ncols", "nrows", "cellsize", "step",

@@ -10,15 +10,6 @@ class TestPointSet:
         assert len(pts) == 2
         assert pts.x.dtype == np.float64
 
-    def test_from_records(self):
-        pts = PointSet.from_records([(1, 2, 3), (4, 5, 6)])
-        assert list(pts.x) == [1.0, 4.0]
-        assert list(pts.values) == [3.0, 6.0]
-
-    def test_from_records_empty(self):
-        pts = PointSet.from_records([])
-        assert len(pts) == 0
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PointSet(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]))
@@ -43,6 +34,7 @@ class TestPointSet:
         assert pts.x[0] == 1.0
 
     def test_subset_preserves_order(self):
-        pts = PointSet.from_records([(1, 1, 10), (2, 2, 20), (3, 3, 30)])
+        pts = PointSet(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]),
+                       np.array([10.0, 20.0, 30.0]))
         sub = pts.subset([2, 0])
         assert list(sub.values) == [30.0, 10.0]

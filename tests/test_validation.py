@@ -204,8 +204,6 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0], [2.0])
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank([1.0, 2.0], [2.0, 3.0], method="bogus")
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 wilcoxon_signed_rank([1.0, bad, 3.0], [0.5, 1.0, 2.0])
@@ -214,7 +212,8 @@ class TestWilcoxon:
 
     def test_exact_matches_enumeration_with_ties(self):
         diffs = np.array([1.0, -1.0, 2.0, 2.0, -3.0, 0.5, 4.0])
-        result = wilcoxon_signed_rank(diffs, np.zeros_like(diffs), method="exact")
+        result = wilcoxon_signed_rank(diffs, np.zeros_like(diffs))
+        assert result.method == "exact"
         stat, p = oracles.wilcoxon_enumerate(diffs)
         assert result.statistic == stat
         assert result.p_value == p
@@ -226,7 +225,8 @@ class TestWilcoxon:
         mags = rng.integers(1, 5, size=n).astype(float)
         signs = rng.choice([-1.0, 1.0], size=n)
         diffs = mags * signs
-        result = wilcoxon_signed_rank(diffs, np.zeros(n), method="exact")
+        result = wilcoxon_signed_rank(diffs, np.zeros(n))
+        assert result.method == "exact"
         stat, p = oracles.wilcoxon_enumerate(diffs)
         assert result.statistic == stat
         assert result.p_value == p
@@ -239,21 +239,17 @@ class TestWilcoxon:
         result = wilcoxon_signed_rank(large, np.zeros(EXACT_LIMIT + 1))
         assert result.method == "normal-approximation"
 
-    def test_method_can_be_forced(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=10)
-        b = np.zeros(10)
-        assert wilcoxon_signed_rank(a, b, method="approx").method == "normal-approximation"
-        assert wilcoxon_signed_rank(a, b, method="exact").method == "exact"
-
     def test_approx_close_to_exact_at_boundary(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             diffs = rng.normal(size=EXACT_LIMIT)
             zeros = np.zeros(EXACT_LIMIT)
-            exact = wilcoxon_signed_rank(diffs, zeros, method="exact")
-            approx = wilcoxon_signed_rank(diffs, zeros, method="approx")
-            assert abs(exact.p_value - approx.p_value) <= 0.01
+            exact = wilcoxon_signed_rank(diffs, zeros)
+            assert exact.method == "exact"
+            # the normal approximation that n > EXACT_LIMIT would take
+            ranks = _average_ranks(np.abs(diffs))
+            approx = _approx_two_sided_p(ranks, float(ranks[diffs > 0].sum()), EXACT_LIMIT)
+            assert abs(exact.p_value - approx) <= 0.01
 
     def test_many_consistent_pairs_are_significant(self):
         # 23 surveys all favoring the same method must come out clearly
@@ -285,7 +281,8 @@ class TestWilcoxon:
         for _ in range(10):
             a = rng.normal(size=12)
             b = rng.normal(size=12)
-            ours = wilcoxon_signed_rank(a, b, method="exact")
+            ours = wilcoxon_signed_rank(a, b)
+            assert ours.method == "exact"
             theirs = scipy_wilcoxon(a, b, method="exact", alternative="two-sided")
             assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-12)
 
