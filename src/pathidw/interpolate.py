@@ -20,9 +20,12 @@ order); otherwise the distance rows are the sources in input order and the
 sources are one (sources, 1) column.
 
 Measurement points are snapped to water-cell centers before estimation and
-points landing on the same cell are averaged, for both methods alike; a
+points landing on the same cell are averaged, for both methods alike. A
 prediction cell that coincides with a snapped measurement returns that
-measurement's (averaged) value exactly.
+measurement's (averaged) value exactly: at distance 0 the weights are 1 for
+the coincident sources and 0 for the rest, so the one weighted mean serves
+every cell, and each estimate is a convex combination of the neighbors it
+uses.
 """
 
 from __future__ import annotations
@@ -65,14 +68,6 @@ class InterpConfig:
         if self.max_distance is not None and not self.max_distance > 0:
             raise ValueError(f"max_distance must be positive, got {self.max_distance}")
 
-    @property
-    def mode(self) -> str:
-        if self.n_nearest is not None:
-            return "nearest"
-        if self.max_distance is not None:
-            return "within"
-        return "all"
-
     @classmethod
     def nearest(cls, n: int, *, power: float = 2.0) -> "InterpConfig":
         return cls(power=power, n_nearest=n, max_distance=None)
@@ -109,47 +104,46 @@ def snapped_sources(points: PointSet, *, cost: CostSurface
 
 
 def _estimate(dist: np.ndarray, vals: np.ndarray,
-              config: InterpConfig) -> tuple[np.ndarray, np.ndarray]:
+              power: float) -> tuple[np.ndarray, np.ndarray]:
     """The Shepard estimator over a neighbor table.
 
     ``dist`` is (rows, n_targets): each column holds one target's selected
     neighbors, with inf distances marking empty slots. ``vals`` has the same
-    shape, or is (rows, 1) when every column lists the same sources.
-    Returns (estimates, has_estimate); targets with no neighbor get
-    has_estimate False.
+    shape, or is (rows, 1) when every column lists the same sources; every
+    value is finite, empty slots included. Returns (estimates, has_estimate);
+    targets with no neighbor get has_estimate False.
+
+    A column with a zero distance weighs its coincident neighbors 1 and the
+    rest 0, so the one weighted mean returns their mean. Each estimate is
+    clamped to the range of the neighbors it used, after a check that it
+    lies there up to rounding.
     """
-    valid = np.isfinite(dist)
-    zero = valid & (dist == 0.0)
+    zero = dist == 0.0
     zero_cols = zero.any(axis=0)
 
     # Weights are scale-invariant in the distances, so normalizing by the
     # nearest one keeps d**-p away from overflow at extreme magnitudes. A
     # ratio that still overflows means a negligible neighbor: weight 0.
-    dw = np.where(valid & (dist > 0.0), dist, np.inf)
-    near = dw.min(axis=0)
-    near = np.where(np.isfinite(near), near, 1.0)
+    w = np.where(dist > 0.0, dist, np.inf)
+    near = w.min(axis=0)
+    near[~np.isfinite(near)] = 1.0
     with np.errstate(over="ignore"):
-        w = (dw / near) ** -config.power
+        w /= near
+    w **= -power
+    np.copyto(w, zero, where=zero_cols)
     den = w.sum(axis=0)
-    num = (w * np.where(valid, vals, 0.0)).sum(axis=0)
-    has = zero_cols | (den > 0)
+    w *= vals
+    num = w.sum(axis=0)
+    del w  # free the (rows, n_targets) weights before the range temporaries
 
+    has = den > 0
     est = np.zeros(dist.shape[1])
-    np.divide(num, den, out=est, where=den > 0)
-    if zero_cols.any():
-        # the mean of coincident values, clamped to their own range: the sum
-        # can round the mean an ulp outside it
-        zn = zero.sum(axis=0)
-        zs = np.where(zero, vals, 0.0).sum(axis=0)
-        zlo = np.where(zero, vals, np.inf).min(axis=0)
-        zhi = np.where(zero, vals, -np.inf).max(axis=0)
-        zmean = np.minimum(np.maximum(zs / np.maximum(zn, 1), zlo), zhi)
-        est = np.where(zero_cols, zmean, est)
-
+    np.divide(num, den, out=est, where=has)
     if not np.isfinite(est[has]).all():
         raise ConsistencyError("non-finite estimate produced")
-    lo = np.where(valid, vals, np.inf).min(axis=0)[has]
-    hi = np.where(valid, vals, -np.inf).max(axis=0)[has]
+    used = np.where(zero_cols, zero, np.isfinite(dist))
+    lo = np.where(used, vals, np.inf).min(axis=0)[has]
+    hi = np.where(used, vals, -np.inf).max(axis=0)[has]
     est_h = est[has]
     tol = _CONVEXITY_RTOL * (hi - lo + 1.0)
     if ((est_h < lo - tol) | (est_h > hi + tol)).any():
@@ -238,8 +232,8 @@ def _interpolate(engine, points: PointSet, cost: CostSurface,
     """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
     cells, values = snapped_sources(points, cost=cost)
     dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
-    # Empty slots carry inf distances, so their values (src -1) go unused.
-    est, has = _estimate(dist, values[src], config)
+    # Empty slots carry inf distances, so their values (src -1) weigh 0.
+    est, has = _estimate(dist, values[src], config.power)
     geom = cost.geometry
     out = np.full(geom.n_cells, DEFAULT_NODATA)
     out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]

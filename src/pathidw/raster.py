@@ -90,14 +90,6 @@ class GridGeometry:
         cols = np.where(inside, col, -1).astype(np.int64)
         return rows, cols
 
-    def center_of(self, row: int, col: int) -> tuple[float, float]:
-        """Return the center coordinates of cell (row, col)."""
-        if not (0 <= row < self.nrows and 0 <= col < self.ncols):
-            raise IndexError(f"cell ({row}, {col}) outside a {self.nrows}x{self.ncols} grid")
-        x = self.xll + (col + 0.5) * self.cellsize
-        y = self.yll + (self.nrows - row - 0.5) * self.cellsize
-        return x, y
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (X, Y) arrays of shape (nrows, ncols) holding cell centers."""
         cols = np.arange(self.ncols)

@@ -114,20 +114,14 @@ def grid_split(points: PointSet, mesh_cellsize: float, per_cell: int,
     ix = np.floor((points.x - x0) / mesh_cellsize).astype(int)
     iy = np.floor((points.y - y0) / mesh_cellsize).astype(int)
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(points)):
-        groups.setdefault((int(iy[i]), int(ix[i])), []).append(i)
-
+    # mesh cells in (iy, ix) order, each one's points in input order
+    order = np.lexsort((ix, iy))
+    new_cell = (np.diff(iy[order]) != 0) | (np.diff(ix[order]) != 0)
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for key in sorted(groups):
-        members = groups[key]
-        take = min(per_cell, len(members))
-        picks = rng.choice(len(members), size=take, replace=False)
-        chosen.extend(members[j] for j in picks)
-
     train_mask = np.zeros(len(points), dtype=bool)
-    train_mask[chosen] = True
+    for members in np.split(order, np.flatnonzero(new_cell) + 1):
+        picks = rng.choice(len(members), size=min(per_cell, len(members)), replace=False)
+        train_mask[members[picks]] = True
     return SplitResult(points.subset(np.flatnonzero(train_mask)),
                        points.subset(np.flatnonzero(~train_mask)),
                        float(mesh_cellsize), int(seed))

@@ -141,9 +141,9 @@ def table(dist, config):
     the (sources, 1) column 0, 1, .... Returns (distances, sources).
     """
     src = np.arange(len(dist))[:, None]
-    if config.mode == "within":
+    if config.max_distance is not None:
         dist = np.where(dist <= config.max_distance, dist, np.inf)
-    if config.mode == "nearest" and len(dist) > config.n_nearest:
+    if config.n_nearest is not None and len(dist) > config.n_nearest:
         src = np.argsort(dist, axis=0, kind="stable")[:config.n_nearest]
         dist = np.take_along_axis(dist, src, axis=0)
     return dist, src
@@ -152,7 +152,28 @@ def table(dist, config):
 def estimate_dense(dist, values, config):
     """``_estimate`` over ``table(dist, config)``: returns (estimates, has_estimate)."""
     d, src = table(dist, config)
-    return _estimate(d, values[src], config)
+    return _estimate(d, values[src], config.power)
+
+
+def grid_split_training(x, y, mesh_cellsize, per_cell, seed):
+    """Training indices of ``grid_split`` by a per-point dict of mesh cells.
+
+    Points are grouped under their (iy, ix) mesh cell in input order, and
+    each cell in sorted key order draws up to ``per_cell`` of its points
+    with one ``rng.choice`` call. Returns the chosen indices, sorted.
+    """
+    ix = np.floor((x - float(x.min())) / mesh_cellsize).astype(int)
+    iy = np.floor((y - float(y.min())) / mesh_cellsize).astype(int)
+    groups = {}
+    for i in range(len(x)):
+        groups.setdefault((int(iy[i]), int(ix[i])), []).append(i)
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for key in sorted(groups):
+        members = groups[key]
+        picks = rng.choice(len(members), size=min(per_cell, len(members)), replace=False)
+        chosen.extend(members[j] for j in picks)
+    return sorted(chosen)
 
 
 def midranks(mags):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ def one_column(pairs, config):
     return float(est[0]) if has[0] else None
 
 
+def centers_of(geometry, cells):
+    """The (x, y) centers of ``cells``, one row per (row, col) pair."""
+    cx, cy = geometry.cell_centers()
+    rows, cols = np.array(cells).T
+    return np.column_stack([cx[rows, cols], cy[rows, cols]])
+
+
 def finite_floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -55,16 +63,17 @@ class TestInterpConfig:
         assert config.power == 2.0
         assert config.n_nearest == 10
         assert config.max_distance is None
-        assert config.mode == "nearest"
 
     def test_single_mode_enforced(self):
         with pytest.raises(ValueError):
             InterpConfig(n_nearest=5, max_distance=100.0)
 
     def test_mode_constructors(self):
-        assert InterpConfig.nearest(3).mode == "nearest"
-        assert InterpConfig.within(500.0).mode == "within"
-        assert InterpConfig.all_points().mode == "all"
+        assert InterpConfig.nearest(3) == InterpConfig(power=2.0, n_nearest=3, max_distance=None)
+        assert InterpConfig.within(500.0) == InterpConfig(power=2.0, n_nearest=None,
+                                                          max_distance=500.0)
+        assert InterpConfig.all_points() == InterpConfig(power=2.0, n_nearest=None,
+                                                         max_distance=None)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +121,26 @@ class TestIdwEstimate:
     def test_coincident_zero_neighbors_average(self):
         pairs = [(0.0, 4.0), (0.0, 8.0), (2.0, 0.0)]
         assert one_column(pairs, InterpConfig.all_points()) == 6.0
+
+    def test_coincident_mean_is_clamped_to_the_coincident_values(self):
+        # 0.1 + 0.1 + 0.1 = 0.30000000000000004, and a third of it is one ulp
+        # above 0.1, inside the range of all four neighbors but not of the
+        # three coincident ones
+        pairs = [(0.0, 0.1)] * 3 + [(2.0, 5.0)]
+        assert one_column(pairs, InterpConfig.all_points()) == 0.1
+
+    def test_coincident_signed_zero_is_returned_bit_for_bit(self):
+        for mine, other in ((-0.0, 0.0), (0.0, -0.0)):
+            got = one_column([(0.0, mine), (1.0, other)], InterpConfig.all_points())
+            assert math.copysign(1.0, got) == math.copysign(1.0, mine)
+
+    def test_overflowing_distance_ratio_weighs_zero_without_warning(self):
+        # 1 / 2.2250738585e-313 overflows: that neighbor is negligible
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = one_column([(1.0, 0.0), (2.2250738585e-313, 0.0)],
+                             InterpConfig.all_points(power=1.0))
+        assert got == 0.0
 
     def test_empty_neighborhood_returns_none(self):
         assert one_column([(10.0, 1.0)], InterpConfig.within(5.0)) is None
@@ -449,7 +478,7 @@ def dense_idw(pts, geometry, config, mask=None):
     dist = np.hypot(cx[water][None, :] - cx[rows, cols][:, None],
                     cy[water][None, :] - cy[rows, cols][:, None])
     dist, src = oracles.table(dist, config)
-    est, has = _estimate(dist, values[src], config)
+    est, has = _estimate(dist, values[src], config.power)
     out = np.full(geometry.n_cells, -9999.0)
     out[np.flatnonzero(water.ravel())[has]] = est[has]
     return (dist, src), out.reshape(geometry.nrows, geometry.ncols)
@@ -462,7 +491,7 @@ def assert_idw_matches_dense(pts, geometry, config, mask=None):
     dist, src = _straight_line_sources(cost, cells, k=config.n_nearest,
                                        max_distance=config.max_distance)
     assert np.array_equal(dist, ref_d)
-    if config.mode == "nearest" and len(cells) > config.n_nearest:
+    if config.n_nearest is not None and len(cells) > config.n_nearest:
         found = np.isfinite(dist)
         assert np.array_equal(src[found], ref_s[found])
         assert (src[~found] == -1).all()
@@ -486,7 +515,7 @@ def check_lattice_sources(data):
     vals = np.where(rng.random((nrows, ncols)) < 0.3, 10000.0, 1.0)
     vals[tuple(np.array(cells).T)] = 1.0
     cost = surface(vals)
-    centers = np.array([cost.geometry.center_of(r, c) for r, c in cells])
+    centers = centers_of(cost.geometry, cells)
     pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
     n_sources = len(set(cells))
     n = data.draw(st.sampled_from([1, 2, 3, 5, max(1, n_sources - 1), n_sources + 1]))
@@ -548,7 +577,7 @@ class TestStraightLineTable:
         rng = np.random.default_rng(k)
         order = rng.permutation(len(ring + far))
         cells = [(10 + dr, 10 + dc) for dr, dc in np.array(ring + far)[order]]
-        centers = np.array([cost.geometry.center_of(r, c) for r, c in cells])
+        centers = centers_of(cost.geometry, cells)
         pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
         rounds = []
 
@@ -559,7 +588,7 @@ class TestStraightLineTable:
 
         monkeypatch.setattr(interpolate, "cKDTree", SpyTree)
         assert_idw_matches_dense(pts, cost.geometry, InterpConfig.nearest(k), cost)
-        target = cost.geometry.center_of(10, 10)
+        target = centers_of(cost.geometry, [(10, 10)])[0]
         widened = [(x == target).all(axis=1).any() for m, x in rounds if m > k + 2]
         assert any(widened) == (k <= 10)
 

@@ -37,6 +37,8 @@ def test_test_only_api_is_gone():
         assert not hasattr(pathidw, name)
         assert not hasattr(getattr(pathidw, module), name)
     assert not hasattr(pathidw.GridGeometry, "cell_of")
+    assert not hasattr(pathidw.GridGeometry, "center_of")
+    assert not hasattr(pathidw.InterpConfig, "mode")
     assert not hasattr(pathidw.PointSet, "value_range")
     assert not hasattr(pathidw.PointSet, "from_records")
 

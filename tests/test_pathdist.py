@@ -416,7 +416,7 @@ def dense_reference(cost, pts, config):
                                cost.geometry.cellsize)
     dist = np.array([relax_field(cost, cell, edges).ravel()[water_flat] for cell in cells])
     dist, src = oracles.table(dist, config)
-    est, has = _estimate(dist, values[src], config)
+    est, has = _estimate(dist, values[src], config.power)
     out = np.full(cost.geometry.n_cells, -9999.0)
     out[water_flat[has]] = est[has]
     return (dist, src), out.reshape(cost.geometry.nrows, cost.geometry.ncols)
@@ -428,7 +428,7 @@ def assert_matches_dense(cost, pts, config):
     dist, src = nearest_sources(cost, cells, k=config.n_nearest,
                                 max_distance=config.max_distance)
     assert np.array_equal(dist, ref_d)
-    if config.mode == "nearest" and len(cells) > config.n_nearest:
+    if config.n_nearest is not None and len(cells) > config.n_nearest:
         found = np.isfinite(dist)
         assert np.array_equal(src[found], ref_s[found])
         assert (src[~found] == -1).all()
@@ -440,7 +440,9 @@ def assert_matches_dense(cost, pts, config):
 def points_on_cells(cost, cells, rng):
     """One point per (row, col), at a random spot inside the cell."""
     geom = cost.geometry
-    xy = np.array([geom.center_of(r, c) for r, c in cells])
+    cx, cy = geom.cell_centers()
+    rows, cols = np.array(cells).T
+    xy = np.column_stack([cx[rows, cols], cy[rows, cols]])
     xy += rng.uniform(-0.4, 0.4, size=xy.shape) * geom.cellsize
     return PointSet(xy[:, 0], xy[:, 1], rng.uniform(-10.0, 10.0, len(cells)))
 

@@ -40,24 +40,18 @@ class TestGridGeometry:
         assert rows.tolist() == [1, 0, 0, -1, -1, -1, -1, 0, -1, -1]
         assert cols.tolist() == [0, 1, 2, -1, -1, -1, -1, 1, -1, -1]
 
-    def test_center_of_known_cells(self):
+    def test_cell_centers_known_cells(self):
         geom = GridGeometry(ncols=3, nrows=3, xll=0.0, yll=0.0, cellsize=10.0)
-        assert geom.center_of(0, 0) == (5.0, 25.0)
-        assert geom.center_of(2, 2) == (25.0, 5.0)
-        assert geom.center_of(1, 1) == (15.0, 15.0)
-
-    def test_center_of_out_of_range(self):
-        geom = GridGeometry(ncols=3, nrows=3, xll=0.0, yll=0.0, cellsize=10.0)
-        with pytest.raises(IndexError):
-            geom.center_of(3, 0)
-        with pytest.raises(IndexError):
-            geom.center_of(0, -1)
+        xs, ys = geom.cell_centers()
+        assert (xs[0, 0], ys[0, 0]) == (5.0, 25.0)
+        assert (xs[2, 2], ys[2, 2]) == (25.0, 5.0)
+        assert (xs[1, 1], ys[1, 1]) == (15.0, 15.0)
 
     def test_row_zero_is_top(self):
         geom = GridGeometry(ncols=1, nrows=4, xll=0.0, yll=0.0, cellsize=10.0)
-        xs, ys = zip(*(geom.center_of(r, 0) for r in range(4)))
-        assert list(ys) == [35.0, 25.0, 15.0, 5.0]
-        assert set(xs) == {5.0}
+        xs, ys = geom.cell_centers()
+        assert ys[:, 0].tolist() == [35.0, 25.0, 15.0, 5.0]
+        assert set(xs[:, 0].tolist()) == {5.0}
 
     def test_derived_properties(self):
         geom = GridGeometry(ncols=4, nrows=3, xll=10.0, yll=-20.0, cellsize=5.0)
@@ -82,19 +76,21 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             GridGeometry(ncols=2, nrows=2, xll=np.nan, yll=0.0, cellsize=1.0)
 
-    def test_cell_centers_matches_center_of(self):
+    def test_cell_centers_match_scalar_formula(self):
         geom = GridGeometry(ncols=3, nrows=2, xll=-5.0, yll=7.0, cellsize=2.0)
         xs, ys = geom.cell_centers()
-        assert xs.shape == (2, 3)
+        assert xs.shape == ys.shape == (2, 3)
         for r in range(2):
             for c in range(3):
-                assert (xs[r, c], ys[r, c]) == geom.center_of(r, c)
+                assert xs[r, c] == -5.0 + (c + 0.5) * 2.0
+                assert ys[r, c] == 7.0 + (2 - r - 0.5) * 2.0
 
     @given(geom=small_geometries(), data=st.data())
     def test_round_trip_center_to_cell(self, geom, data):
         row = data.draw(st.integers(0, geom.nrows - 1))
         col = data.draw(st.integers(0, geom.ncols - 1))
-        x, y = geom.center_of(row, col)
+        xs, ys = geom.cell_centers()
+        x, y = xs[row, col], ys[row, col]
         assert tuple(map(int, geom.cells_of(x, y))) == (row, col)
 
     @given(geom=small_geometries(), data=st.data())

@@ -14,6 +14,7 @@ from pathidw import (
     RasterGrid,
     cross_validate,
     grid_split,
+    make_scene,
     range_vs_error,
     wilcoxon_signed_rank,
 )
@@ -81,6 +82,27 @@ class TestGridSplit:
         split = grid_split(cloud, mesh_cellsize=50.0, per_cell=1, seed=9)
         assert split.mesh_cellsize == 50.0
         assert split.seed == 9
+
+    @pytest.mark.parametrize("per_cell", [1, 2, 3])
+    def test_matches_per_point_dict_grouping(self, per_cell):
+        # Survey tracks, plus a cloud at negative coordinates whose points
+        # sit on mesh-cell edges, one ulp either side, and in cell interiors.
+        clouds = [make_scene(kind, seed=s).track
+                  for kind in ("two-basin", "plume") for s in (0, 7)]
+        rng = np.random.default_rng(per_cell)
+        edges = -1200.0 + 100.0 * rng.integers(0, 12, size=(300, 2))
+        nudge = rng.choice([-1.0, 0.0, 0.0, 1.0], size=edges.shape)
+        xy = np.where(nudge == 0.0, edges, np.nextafter(edges, edges + nudge))
+        xy[:100] += rng.uniform(0.0, 100.0, size=(100, 2))
+        clouds.append(PointSet(xy[:, 0], xy[:, 1], rng.normal(size=len(xy))))
+        for cloud in clouds:
+            for mesh, seed in ((100.0, 3), (1095.4, 0), (250.0, 9001)):
+                split = grid_split(cloud, mesh_cellsize=mesh, per_cell=per_cell, seed=seed)
+                train = oracles.grid_split_training(cloud.x, cloud.y, mesh, per_cell, seed)
+                rest = np.setdiff1d(np.arange(len(cloud)), train)
+                assert split.training.x.tobytes() == cloud.x[train].tobytes()
+                assert split.training.values.tobytes() == cloud.values[train].tobytes()
+                assert split.validation.y.tobytes() == cloud.y[rest].tobytes()
 
     @given(cloud=point_clouds(), seed=st.integers(0, 1000))
     def test_split_is_a_partition_preserving_order(self, cloud, seed):
