@@ -279,32 +279,36 @@ def _cmd_crossval(args) -> int:
     return 0
 
 
+def _mae_and_range(path) -> tuple[float, float]:
+    """One report's MAE and observed value range; the report is freed on return."""
+    report = read_error_report(path)
+    return report.mae, report.observed_range()
+
+
 def _cmd_compare(args) -> int:
     if len(args.reports_a) != len(args.reports_b):
         raise InputError("--reports-a and --reports-b must pair up one-to-one")
-    reports_a = [read_error_report(p) for p in args.reports_a]
-    reports_b = [read_error_report(p) for p in args.reports_b]
-    maes_a = [r.mae for r in reports_a]
-    maes_b = [r.mae for r in reports_b]
+    # one report in memory at a time: each is reduced to its summary as it is read
+    maes_a, ranges = zip(*[_mae_and_range(p) for p in args.reports_a])
+    maes_b = [read_error_report(p).mae for p in args.reports_b]
     test = wilcoxon_signed_rank(maes_a, maes_b)
     meta = {
         "command": "compare",
-        "n_surveys": len(reports_a),
+        "n_surveys": len(maes_a),
         "pairing": "per-survey MAE, A minus B",
     }
     write_paired_test(test, args.out_test, metadata=meta)
 
-    ranges = [r.observed_range() for r in reports_a]
-    table_a = range_vs_error(zip(ranges, reports_a))
-    table_b = range_vs_error(zip(ranges, reports_b))
+    table_a = range_vs_error(zip(ranges, maes_a))
+    table_b = range_vs_error(zip(ranges, maes_b))
     table_meta = {
         "command": "compare",
         "range_source": "observed values of the A-side reports",
         "rank_correlation_a": repr(table_a.rank_correlation),
         "rank_correlation_b": repr(table_b.rank_correlation),
     }
-    rows = (f"{i},{rng!r},{ra.mae!r},{rb.mae!r}"
-            for i, (rng, ra, rb) in enumerate(zip(ranges, reports_a, reports_b)))
+    rows = (f"{i},{rng!r},{mae_a!r},{mae_b!r}"
+            for i, (rng, mae_a, mae_b) in enumerate(zip(ranges, maes_a, maes_b)))
     write_csv_table(args.out_table, table_meta, "survey,range,mae_a,mae_b", rows)
     _note(f"wrote {args.out_test} (p={test.p_value:.6g}, {test.method}) "
           f"and {args.out_table}")

@@ -284,21 +284,26 @@ def read_error_report(path) -> ErrorReport:
     if not data or data[0][1].replace(" ", "") != "point_index,observed,predicted,residual":
         raise FormatError("missing error-report header", path=str(path))
     rows = [(lineno, line.split(",")) for lineno, line in data[1:]]
-    residuals = []
-    for (lineno, tokens), (_, *values) in zip(rows, _parse_table(rows, 4, path).tolist()):
-        try:
-            index = int(tokens[0])
-        except ValueError:
-            raise FormatError(f"point index is not an integer: {tokens[0]!r}",
-                              path=str(path), line=lineno, column=1) from None
-        residuals.append((index, *values))
-    if not residuals:
+    if not rows:
         raise FormatError("error report holds no residual rows", path=str(path))
+    _, observed, predicted, residual = _parse_table(rows, 4, path).T.tolist()
+    try:
+        index = list(map(int, [tokens[0] for _, tokens in rows]))
+    except ValueError:
+        # row by row only to find the first bad index and report where it is
+        for lineno, tokens in rows:
+            try:
+                int(tokens[0])
+            except ValueError:
+                raise FormatError(f"point index is not an integer: {tokens[0]!r}",
+                                  path=str(path), line=lineno, column=1) from None
+        raise
     try:
         n_nodata = int(meta.get("n_nodata", 0))
     except ValueError:
         raise FormatError("n_nodata metadata is not an integer", path=str(path)) from None
-    return ErrorReport.from_residuals(residuals, n_nodata)
+    return ErrorReport.from_residuals(zip(index, observed, predicted, residual),
+                                      n_nodata)
 
 
 def write_paired_test(result: PairedTestResult, path, *, metadata: dict | None = None):

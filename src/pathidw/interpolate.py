@@ -42,7 +42,7 @@ from .pathdist import nearest_sources, snap_points
 from .points import PointSet
 from .raster import DEFAULT_NODATA, GridGeometry, RasterGrid, require_count
 
-# tolerance slack for the post-hoc convex-combination assertion
+# relative slack of the post-hoc convex-combination assertion
 _CONVEXITY_RTOL = 1e-9
 
 
@@ -116,7 +116,7 @@ def _estimate(dist: np.ndarray, vals: np.ndarray,
     A column with a zero distance weighs its coincident neighbors 1 and the
     rest 0, so the one weighted mean returns their mean. Each estimate is
     clamped to the range of the neighbors it used, after a check that it
-    lies there up to rounding.
+    lies there up to rounding, which scales with the values' magnitude.
     """
     zero = dist == 0.0
     zero_cols = zero.any(axis=0)
@@ -145,7 +145,9 @@ def _estimate(dist: np.ndarray, vals: np.ndarray,
     lo = np.where(used, vals, np.inf).min(axis=0)[has]
     hi = np.where(used, vals, -np.inf).max(axis=0)[has]
     est_h = est[has]
-    tol = _CONVEXITY_RTOL * (hi - lo + 1.0)
+    # the weighted mean rounds relative to the values' magnitude, not their spread
+    scale = np.maximum(np.maximum(hi - lo, 1.0), np.maximum(np.abs(lo), np.abs(hi)))
+    tol = _CONVEXITY_RTOL * scale
     if ((est_h < lo - tol) | (est_h > hi + tol)).any():
         raise ConsistencyError("estimate outside neighbor value range")
     est[has] = np.minimum(np.maximum(est_h, lo), hi)

@@ -237,13 +237,14 @@ def _approx_two_sided_p(ranks: np.ndarray, w_plus: float, n: int) -> float:
 def range_vs_error(pairs) -> RangeErrorTable:
     """Relate survey value ranges to their cross-validation MAE.
 
-    ``pairs`` is an iterable of (value_range, ErrorReport). Returns the
-    scatter rows in input order plus the Spearman rank correlation between
-    range and MAE (None when undefined).
+    ``pairs`` is an iterable of (value_range, mae) numbers, such as an
+    ErrorReport's ``observed_range()`` and ``mae``. Returns the scatter rows
+    in input order plus the Spearman rank correlation between range and MAE
+    (None when undefined).
     """
-    rows = tuple((float(rng), float(report.mae)) for rng, report in pairs)
+    rows = tuple((float(rng), float(mae)) for rng, mae in pairs)
     if not rows:
-        raise ValueError("no (range, report) pairs supplied")
+        raise ValueError("no (range, mae) pairs supplied")
     rho: float | None = None
     table = np.array(rows)
     # the rank correlation is undefined with a NaN or a constant column

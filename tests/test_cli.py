@@ -1,5 +1,6 @@
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +271,40 @@ class TestCompare:
         assert lines[-1] == "-6.0,0.25,3,0,exact"
         table = out_table.read_text().splitlines()
         assert table[-4] == "survey,range,mae_a,mae_b"
-        assert len(table[-3].split(",")) == 4
+        for i, (row, path_a, path_b) in enumerate(zip(table[-3:], paths_a, paths_b)):
+            a, b = read_error_report(path_a), read_error_report(path_b)
+            assert row == f"{i},{a.observed_range()!r},{a.mae!r},{b.mae!r}"
+
+    def test_holds_one_report_at_a_time(self, tmp_path, monkeypatch):
+        paths_a, paths_b = self.make_reports(tmp_path, n=4)
+        earlier = []
+
+        def spy(path):
+            assert all(ref() is None for ref in earlier), "an earlier report is still held"
+            report = read_error_report(path)
+            earlier.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(cli, "read_error_report", spy)
+        assert main([
+            "compare", "--reports-a", *paths_a, "--reports-b", *paths_b,
+            "--out-test", str(tmp_path / "t.csv"), "--out-table", str(tmp_path / "tab.csv"),
+        ]) == 0
+        assert len(earlier) == 8
+
+    def test_bad_index_names_the_report_and_line(self, tmp_path, capsys):
+        paths_a, paths_b = self.make_reports(tmp_path)
+        bad = Path(paths_b[1])
+        lines = bad.read_text().splitlines()
+        lines[2] = "1.0" + lines[2][1:]
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "compare", "--reports-a", *paths_a, "--reports-b", *paths_b,
+            "--out-test", str(tmp_path / "t.csv"), "--out-table", str(tmp_path / "tab.csv"),
+        ])
+        assert rc == 1
+        assert (f"error: {bad}, line 3, column 1: point index is not an integer: '1.0'"
+                in capsys.readouterr().err)
 
     def test_mismatched_report_lists(self, tmp_path, capsys):
         paths_a, paths_b = self.make_reports(tmp_path)

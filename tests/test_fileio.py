@@ -484,6 +484,23 @@ class TestReportCsv:
         with pytest.raises(FormatError, match="line 2, column 1: "):
             read_error_report(path)
 
+    @pytest.mark.parametrize("index", [
+        " 7 ", "+3", "-2", "007", "1_0", "1234567890123456789012345", "1.0", "1e3",
+    ])
+    def test_index_parses_as_int_does(self, tmp_path, index):
+        path = tmp_path / "report.csv"
+        path.write_text("point_index,observed,predicted,residual\n"
+                        f"0,1.0,1.5,0.5\n{index},2.0,2.5,0.5\n")
+        try:
+            want = int(index)
+        except ValueError:
+            with pytest.raises(FormatError, match="line 3, column 1: point index") as err:
+                read_error_report(path)
+            assert (err.value.line, err.value.column) == (3, 1)
+        else:
+            got = read_error_report(path).residuals[1][0]
+            assert type(got) is int and got == want
+
     @pytest.mark.parametrize("body", [
         "0,1.0,1.5,0.5\n3, 2.0 ,2.5,0.5\n",
         "0,1.0,1.5,0.5\n1,2.0,oops,0.5\n",

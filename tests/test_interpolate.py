@@ -142,6 +142,15 @@ class TestIdwEstimate:
                              InterpConfig.all_points(power=1.0))
         assert got == 0.0
 
+    def test_convexity_slack_scales_with_the_values(self):
+        # three equidistant neighbors of one value v: 3v / 3 can be one ulp
+        # off v, which at 2.3e8 is 3e-8, over an absolute slack of 1e-9
+        v = 231594562.2562936
+        assert one_column([(1.0, v)] * 3, InterpConfig.all_points()) == v
+        values = np.random.default_rng(0).uniform(1e7, 1e9, 2000)
+        est, has = _estimate(np.ones((3, len(values))), np.tile(values, (3, 1)), 2.0)
+        assert has.all() and np.array_equal(est, values)
+
     def test_empty_neighborhood_returns_none(self):
         assert one_column([(10.0, 1.0)], InterpConfig.within(5.0)) is None
 
