@@ -22,6 +22,8 @@ from .validation import ErrorReport, PairedTestResult
 POINTS_HEADER = "x,y,value"
 RING_CLOSURE_TOL = 1e-9
 _ASC_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+_REPORT_HEADER = "point_index,observed,predicted,residual"
+_INT64 = np.iinfo(np.int64)
 
 
 def _fmt(value: float) -> str:
@@ -257,11 +259,10 @@ def _close_ring(arr, ring_index, path, lineno) -> np.ndarray:
 
 def write_csv_table(path, metadata: dict | None, header: str, rows: Iterable[str]):
     """Shared writer for headered CSV reports with a '#' metadata preamble."""
+    lines = [header, *rows, ""]
     with open(path, "w") as f:
         _write_preamble(f, metadata)
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+        f.write("\n".join(lines))
 
 
 def write_error_report(report: ErrorReport, path, *, metadata: dict | None = None):
@@ -273,37 +274,89 @@ def write_error_report(report: ErrorReport, path, *, metadata: dict | None = Non
         "n_nodata": report.n_nodata,
     }
     meta.update(metadata or {})
-    rows = (f"{i},{obs!r},{pred!r},{res!r}" for i, obs, pred, res in report.residuals)
-    write_csv_table(path, meta, "point_index,observed,predicted,residual", rows)
+    # each column's text is made in one pass and the rows joined from them
+    columns = (map(str, report.index.tolist()), map(repr, report.observed.tolist()),
+               map(repr, report.predicted.tolist()), map(repr, report.residual.tolist()))
+    write_csv_table(path, meta, _REPORT_HEADER, map(",".join, zip(*columns)))
 
 
 def read_error_report(path) -> ErrorReport:
-    """Rebuild an ErrorReport from its CSV; a bad field raises FormatError at its column."""
+    """Rebuild an ErrorReport from its CSV; a bad field raises FormatError at its column.
+
+    A report whose rows hold no comment or blank line is parsed in bulk;
+    any other, or one the bulk parse rejects, is read line by line, which
+    places the first bad row or field.
+    """
     with open(path) as f:
-        meta, data = _read_preamble(f)
-    if not data or data[0][1].replace(" ", "") != "point_index,observed,predicted,residual":
-        raise FormatError("missing error-report header", path=str(path))
-    rows = [(lineno, line.split(",")) for lineno, line in data[1:]]
-    if not rows:
-        raise FormatError("error report holds no residual rows", path=str(path))
-    _, observed, predicted, residual = _parse_table(rows, 4, path).T.tolist()
-    try:
-        index = list(map(int, [tokens[0] for _, tokens in rows]))
-    except ValueError:
-        # row by row only to find the first bad index and report where it is
-        for lineno, tokens in rows:
-            try:
-                int(tokens[0])
-            except ValueError:
-                raise FormatError(f"point index is not an integer: {tokens[0]!r}",
-                                  path=str(path), line=lineno, column=1) from None
-        raise
+        text = f.read()
+    parsed = _bulk_report(text)
+    if parsed is None:
+        parsed = _report_rows(text, path)
+    meta, index, values = parsed
     try:
         n_nodata = int(meta.get("n_nodata", 0))
     except ValueError:
         raise FormatError("n_nodata metadata is not an integer", path=str(path)) from None
-    return ErrorReport.from_residuals(zip(index, observed, predicted, residual),
-                                      n_nodata)
+    return ErrorReport.from_residuals(index, *values, n_nodata)
+
+
+def _bulk_report(text):
+    """(metadata, index, value columns) of a report in one split, or None.
+
+    Only a '#' and blank preamble, the header line and then rows of four
+    fields are taken: the rows are split at once, with each line end kept
+    as a token of its own, so that every fifth token must be one. Anything
+    else, a failed parse or a non-finite value gives None.
+    """
+    head, found, body = ("\n" + text).partition(f"\n{_REPORT_HEADER}\n")
+    if not found:
+        return None
+    meta, data = _read_preamble(head.split("\n"))
+    if data:
+        return None
+    tokens = body.rstrip().replace("\n", ",\n,").split(",")
+    n = (len(tokens) + 1) // 5
+    if n == 0 or len(tokens) != 5 * n - 1 or tokens[4::5].count("\n") != n - 1:
+        return None
+    try:
+        # int() per index, as the line-by-line read parses it
+        index = np.fromiter(map(int, tokens[0::5]), dtype=np.int64, count=n)
+        values = np.array([tokens[1::5], tokens[2::5], tokens[3::5]], dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return meta, index, values
+
+
+def _report_rows(text, path):
+    """(metadata, index, value columns) of a report read line by line.
+
+    Raises FormatError at the first bad row or field.
+    """
+    meta, data = _read_preamble(text.split("\n"))
+    if not data or data[0][1].replace(" ", "") != _REPORT_HEADER:
+        raise FormatError("missing error-report header", path=str(path))
+    rows = [(lineno, line.split(",")) for lineno, line in data[1:]]
+    if not rows:
+        raise FormatError("error report holds no residual rows", path=str(path))
+    values = _parse_table(rows, 4, path)[:, 1:].T
+    try:
+        index = np.fromiter(map(int, [tokens[0] for _, tokens in rows]), dtype=np.int64,
+                            count=len(rows))
+    except (ValueError, OverflowError):
+        # row by row only to find the first bad index and report where it is
+        for lineno, tokens in rows:
+            try:
+                i = int(tokens[0])
+            except ValueError:
+                raise FormatError(f"point index is not an integer: {tokens[0]!r}",
+                                  path=str(path), line=lineno, column=1) from None
+            if not _INT64.min <= i <= _INT64.max:
+                raise FormatError(f"point index out of range: {tokens[0]!r}",
+                                  path=str(path), line=lineno, column=1)
+        raise
+    return meta, index, values
 
 
 def write_paired_test(result: PairedTestResult, path, *, metadata: dict | None = None):

@@ -193,9 +193,15 @@ def _straight_line_sources(cost: CostSurface, cells, *, k: int | None = None,
     sx, sy = cx[rows, cols], cy[rows, cols]
     if k is not None and k < len(cells):
         return _kd_nearest(tx, ty, sx, sy, k)
-    dist = np.hypot(tx - sx[:, None], ty - sy[:, None])
-    if max_distance is not None:
-        dist[dist > max_distance] = np.inf
+    # filled ``_TILE`` columns at a time, so the coordinate differences are
+    # never held for the whole table
+    dist = np.empty((len(cells), len(tx)))
+    for lo in range(0, len(tx), pathdist._TILE):
+        t = slice(lo, lo + pathdist._TILE)
+        block = dist[:, t]
+        np.hypot(tx[t] - sx[:, None], ty[t] - sy[:, None], out=block)
+        if max_distance is not None:
+            block[block > max_distance] = np.inf
     return dist, np.arange(len(cells))[:, None]
 
 
@@ -234,8 +240,10 @@ def _interpolate(engine, points: PointSet, cost: CostSurface,
     """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
     cells, values = snapped_sources(points, cost=cost)
     dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
-    # Empty slots carry inf distances, so their values (src -1) weigh 0.
-    est, has = _estimate(dist, values[src], config.power)
+    # Empty slots carry inf distances, so their values (src -1) weigh 0. The
+    # values replace the source table, which is freed before the estimate.
+    src = values[src]
+    est, has = _estimate(dist, src, config.power)
     geom = cost.geometry
     out = np.full(geom.n_cells, DEFAULT_NODATA)
     out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]

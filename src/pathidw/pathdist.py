@@ -40,37 +40,43 @@ from .raster import require_count
 
 DEFAULT_SNAP_RADIUS = 2
 
-# (drow, dcol, length multiplier); each undirected pair is listed once
-_MOVES = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0)))
+# the eight moves in row-major order of the cell they lead to, so each
+# node's neighbours come out in ascending node order
+_OFFSETS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
 def move_graph(cost: CostSurface) -> sparse.csr_matrix:
-    """Sparse symmetric move graph over the water cells, numbered in row-major order."""
+    """Sparse symmetric move graph over the water cells, numbered in row-major order.
+
+    The CSR arrays are built directly: an (N, 8) block holds each water
+    node's neighbour in every direction, -1 where that move is closed, and
+    one boolean compress of it gives the column indices, sorted within each
+    row, and the weights.
+    """
     geom = cost.geometry
     nr, nc = geom.nrows, geom.ncols
     water = cost.is_water
-    index = np.cumsum(water.ravel()).reshape(nr, nc) - 1
+    n = int(water.sum())
+    # padded by one cell of land, so every move is a shifted slice; node
+    # numbers are -1 off water
+    wet = np.pad(water, 1)
+    node = np.full(wet.shape, -1, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    node[1:-1, 1:-1][water] = np.arange(n)
     step = cost.water_cost * geom.cellsize
-
-    rows, cols, data = [], [], []
-    for dr, dc, mult in _MOVES:
-        # on a one-row or one-column grid some of these slices are empty
-        c_lo, c_hi = max(0, -dc), nc - max(0, dc)
-        a = (slice(0, nr - dr), slice(c_lo, c_hi))
-        b = (slice(dr, nr), slice(c_lo + dc, c_hi + dc))
-        ok = water[a] & water[b]
+    nbr = np.empty((n, len(_OFFSETS)), dtype=node.dtype)
+    for j, (dr, dc) in enumerate(_OFFSETS):
+        nbr[:, j] = node[1 + dr:1 + dr + nr, 1 + dc:1 + dc + nc][water]
         if dr and dc:
             # one flank, (r+dr, c) or (r, c+dc), must be water
-            ok &= water[dr:nr, c_lo:c_hi] | water[0:nr - dr, c_lo + dc:c_hi + dc]
-        ia, ib = index[a][ok], index[b][ok]
-        w = np.full(len(ia), step * mult)
-        rows.extend((ia, ib))
-        cols.extend((ib, ia))
-        data.extend((w, w))
-
-    n = int(water.sum())
-    return sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+            flank = wet[1 + dr:1 + dr + nr, 1:1 + nc] | wet[1:1 + nr, 1 + dc:1 + dc + nc]
+            nbr[~flank[water], j] = -1
+    ok = nbr >= 0
+    indptr = np.concatenate([[0], np.cumsum(ok.sum(axis=1))])
+    weights = np.array([step * (math.sqrt(2.0) if dr and dc else 1.0) for dr, dc in _OFFSETS])
+    data = np.broadcast_to(weights, nbr.shape)[ok]
+    # scipy stores both index arrays as int32 while the node and entry
+    # counts fit it, as its COO conversion does
+    return sparse.csr_matrix((data, nbr[ok], indptr), shape=(n, n))
 
 
 # sources per Dijkstra call: a chunk's (sources x window cells) block is
@@ -131,7 +137,8 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     label by U(t), the least k-th label of a certified cell plus the path
     from it. It runs again only the sources whose straight-line lower bound
     reaches a pending target of their own component within U, each chunk
-    bounded by the largest U it must reach, so every pending target is
+    bounded by the largest U it must reach and cut short where its sources'
+    rows would span more than two bands, so every pending target is
     certified then.
     """
     if k is not None and max_distance is not None:
@@ -202,19 +209,26 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
         return sparse.csr_matrix((data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo),
                                  shape=(b - a, b - a))
 
-    def search(c, group, limits, pending):
+    def search(c, group, limits, pending, split=False):
         """Merge the labels of ``group``, chunk by chunk, into c's pending columns.
 
         A chunk's call is bounded by the largest of its sources' ``limits``
         and runs on the window of c's rows that such a path can reach: its
         cost is at least water_cost times its straight-line length, so it
         stays within limit / (water_cost * cellsize) rows of its source.
+        With ``split`` a chunk also ends before a source that would stretch
+        its sources' rows over more than two such bands.
         """
         a, b = bounds[c], bounds[c + 1]
         sub = component(c)
-        for at in range(0, len(group), _CHUNK):
-            part = group[at:at + _CHUNK]
-            limit = limits[at:at + _CHUNK].max()
+        at = 0
+        while at < len(group):
+            end = min(at + _CHUNK, len(group))
+            if split:
+                end = at + _within_two_bands(rows[pos[nodes[group[at:end]]]],
+                                             limits[at:end], wc * cs)
+            part = group[at:end]
+            limit = limits[at:end].max()
             at_src = pos[nodes[part]]
             lo, hi = a, b
             if np.isfinite(limit):
@@ -231,6 +245,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
                 _merge(dist, src, block[:, sel], part, lo + sel, first=at == 0)
             # free this block before the next Dijkstra call allocates its own
             del block
+            at = end
 
     # pass 1: every component, bounded by R unless searched whole
     pending = np.ones(n_water, dtype=bool)
@@ -257,10 +272,29 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
             near = wc * np.hypot(s[:, :1] - target[:, 0], s[:, 1:] - target[:, 1]) <= bound
             reach[at:at + _CHUNK] = np.where(near, bound, -np.inf).max(axis=1)
         keep = reach >= 0
-        search(c, group[keep], reach[keep], pending)
+        search(c, group[keep], reach[keep], pending, split=True)
     src[np.isinf(dist)] = -1
-    # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous
-    return dist.take(pos, axis=1), src.take(pos, axis=1)
+    # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous.
+    # The graph goes first and the tables one at a time, so at most one
+    # table-sized copy is alive next to them
+    del data, indices, indptr, local, rows, cols, xy
+    dist = dist.take(pos, axis=1)
+    src = src.take(pos, axis=1)
+    return dist, src
+
+
+def _within_two_bands(rows, limits, unit: float) -> int:
+    """How many leading sources of a chunk keep its row span within two bands.
+
+    A chunk's band is the rows that a path of its limit, the largest of its
+    sources' ``limits``, can reach from a source: limit / ``unit`` rows, as
+    ``_search_nearest`` windows them. At least one source is kept; with an
+    infinite limit every one is.
+    """
+    band = np.floor(np.maximum.accumulate(limits) / unit * (1.0 + _BOUND_SLACK))
+    span = np.maximum.accumulate(rows) - np.minimum.accumulate(rows)
+    over = np.flatnonzero(span > 2.0 * band)
+    return int(over[0]) if len(over) else len(rows)
 
 
 def _kth_bound(sub, kth, pending):

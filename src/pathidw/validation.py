@@ -36,33 +36,49 @@ class SplitResult:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Cross-validation residuals and summary errors.
 
-    ``residuals`` rows are (point_index, observed, predicted, residual) with
-    residual = predicted - observed. ``n_nodata`` counts validation points
-    that fell on cells without a prediction.
+    One entry per evaluated validation point, in point order, across four
+    read-only columns: ``index`` (the point's position in the validation
+    set, int64), ``observed``, ``predicted`` and ``residual`` = predicted -
+    observed (float64). ``n_nodata`` counts validation points that fell on
+    cells without a prediction. Reports hold arrays, so ``==`` compares
+    identity; compare the columns instead.
     """
 
-    residuals: tuple[tuple[int, float, float, float], ...]
+    index: np.ndarray
+    observed: np.ndarray
+    predicted: np.ndarray
+    residual: np.ndarray
     mae: float
     rmse: float
     n_evaluated: int
     n_nodata: int
 
+    def __post_init__(self):
+        n = None
+        for name, dtype in (("index", np.int64), ("observed", np.float64),
+                            ("predicted", np.float64), ("residual", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+            if arr.ndim != 1 or n is not None and len(arr) != n:
+                raise ValueError("report columns must be 1-d arrays of equal length")
+            n = len(arr)
+
     @classmethod
-    def from_residuals(cls, rows, n_nodata: int) -> "ErrorReport":
-        """Report over residual rows, with MAE and RMSE computed from them."""
-        rows = tuple(rows)
-        res = np.array([r[3] for r in rows])
-        return cls(rows, mae=float(np.mean(np.abs(res))),
+    def from_residuals(cls, index, observed, predicted, residual,
+                       n_nodata: int) -> "ErrorReport":
+        """Report over residual columns, with MAE and RMSE computed from them."""
+        res = np.asarray(residual, dtype=np.float64)
+        return cls(index, observed, predicted, res, mae=float(np.mean(np.abs(res))),
                    rmse=float(np.sqrt(np.mean(res ** 2))),
-                   n_evaluated=len(rows), n_nodata=n_nodata)
+                   n_evaluated=len(res), n_nodata=n_nodata)
 
     def observed_range(self) -> float:
-        obs = [r[1] for r in self.residuals]
-        return max(obs) - min(obs)
+        return float(self.observed.max() - self.observed.min())
 
 
 @dataclass(frozen=True)
@@ -142,8 +158,8 @@ def cross_validate(predicted: RasterGrid, validation: PointSet) -> ErrorReport:
         raise ValueError("no evaluable validation points (all nodata or out of extent)")
     obs = validation.values[evaluable]
     pred = pred[evaluable]
-    residuals = zip(evaluable.tolist(), obs.tolist(), pred.tolist(), (pred - obs).tolist())
-    return ErrorReport.from_residuals(residuals, len(validation) - len(evaluable))
+    return ErrorReport.from_residuals(evaluable, obs, pred, pred - obs,
+                                      len(validation) - len(evaluable))
 
 
 def wilcoxon_signed_rank(a, b) -> PairedTestResult:

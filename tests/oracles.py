@@ -4,8 +4,10 @@ Everything in here deliberately avoids the production code paths: shortest
 paths come from iterated Bellman-Ford style relaxation instead of Dijkstra,
 estimates from direct fsum evaluation instead of the vectorised kernels, and
 signed-rank p-values from full enumeration over sign patterns.  Tests compare
-the package against these to catch shared-bug failure modes.  The one
-exception is ``estimate_dense``, which hands a neighbor table built here to
+the package against these to catch shared-bug failure modes.  ``move_graph_coo``
+builds the move graph the way the package once did, from COO triplets, so
+the direct CSR build can be held to its arrays.  The one exception is
+``estimate_dense``, which hands a neighbor table built here to
 the production estimator, as the engines do, so estimator tests need no
 engine.
 """
@@ -13,6 +15,7 @@ engine.
 import math
 
 import numpy as np
+from scipy import sparse
 
 from pathidw.interpolate import _estimate
 
@@ -63,6 +66,35 @@ def grid_edges(values, nodata, water_cost, cellsize):
                 w = w * (SQRT2 if diagonal else 1.0)
                 edges.append((r * ncols + c, r2 * ncols + c2, w))
     return edges
+
+
+def move_graph_coo(cost):
+    """``pathdist.move_graph`` built from COO triplets, one direction at a time.
+
+    Each undirected move is listed once per direction pair and stored both
+    ways; scipy's COO to CSR conversion then sorts every row's columns.
+    """
+    geom = cost.geometry
+    nr, nc = geom.nrows, geom.ncols
+    water = cost.is_water
+    index = np.cumsum(water.ravel()).reshape(nr, nc) - 1
+    step = cost.water_cost * geom.cellsize
+    rows, cols, data = [], [], []
+    for dr, dc, mult in ((0, 1, 1.0), (1, 0, 1.0), (1, 1, SQRT2), (1, -1, SQRT2)):
+        c_lo, c_hi = max(0, -dc), nc - max(0, dc)
+        a = (slice(0, nr - dr), slice(c_lo, c_hi))
+        b = (slice(dr, nr), slice(c_lo + dc, c_hi + dc))
+        ok = water[a] & water[b]
+        if dr and dc:
+            ok &= water[dr:nr, c_lo:c_hi] | water[0:nr - dr, c_lo + dc:c_hi + dc]
+        ia, ib = index[a][ok], index[b][ok]
+        w = np.full(len(ia), step * mult)
+        rows.extend((ia, ib))
+        cols.extend((ib, ia))
+        data.extend((w, w))
+    n = int(water.sum())
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
 def relax_distances(values, source, nodata, water_cost, cellsize, edges=None):

@@ -439,7 +439,9 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         write_error_report(report, path)
         back = read_error_report(path)
-        assert back.residuals == report.residuals
+        for column in ("index", "observed", "predicted", "residual"):
+            got, want = getattr(back, column), getattr(report, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert back.mae == report.mae
         assert back.rmse == report.rmse
         assert back.n_evaluated == report.n_evaluated
@@ -494,12 +496,15 @@ class TestReportCsv:
         try:
             want = int(index)
         except ValueError:
+            want = None
+        # the index column is int64, so an index beyond it is an error too
+        if want is None or not -2**63 <= want < 2**63:
             with pytest.raises(FormatError, match="line 3, column 1: point index") as err:
                 read_error_report(path)
             assert (err.value.line, err.value.column) == (3, 1)
         else:
-            got = read_error_report(path).residuals[1][0]
-            assert type(got) is int and got == want
+            got = read_error_report(path).index
+            assert got.dtype == np.int64 and got[1] == want
 
     @pytest.mark.parametrize("body", [
         "0,1.0,1.5,0.5\n3, 2.0 ,2.5,0.5\n",
@@ -515,10 +520,51 @@ class TestReportCsv:
 
         def read():
             report = read_error_report(path)
-            return report.residuals, report.mae, report.rmse, report.n_nodata
+            columns = (report.index, report.observed, report.predicted, report.residual)
+            return [c.tolist() for c in columns], report.mae, report.rmse, report.n_nodata
 
         bulk, row_by_row = parsed_both_ways(read, monkeypatch)
         assert row_by_row == bulk
+
+    def seeded_report(self, n, seed):
+        rng = np.random.default_rng(seed)
+        obs = rng.normal(20.0, 5.0, n) * 10.0 ** rng.integers(-3, 9, n)
+        pred = obs + rng.normal(0.0, 1.0, n)
+        pred[::7] = obs[::7]
+        index = np.sort(rng.choice(10 * n, n, replace=False))
+        return ErrorReport.from_residuals(index, obs, pred, pred - obs, int(seed))
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (1790, 2)])
+    def test_write_read_write_is_byte_identical(self, tmp_path, n, seed):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_error_report(self.seeded_report(n, seed), first, metadata={"method": "ipdw"})
+        write_error_report(read_error_report(first), second, metadata={"method": "ipdw"})
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("row, line, column", [
+        ("17,1.0x,2.0,1.0", 3 + 40, 2),     # a bad observed value
+        ("1.5,1.0,2.0,1.0", 3 + 40, 1),     # an index that is not an integer
+        ("17,1.0,2.0", 3 + 40, None),       # a short row
+        ("# note\n17,1.0,oops,1.0", 4 + 40, 3),  # a comment among the rows, then a bad value
+    ])
+    def test_bulk_parse_places_errors_as_the_row_walk_does(self, tmp_path, monkeypatch,
+                                                            row, line, column):
+        good = "".join(f"{i},{i}.5,{i}.25,-0.25\n" for i in range(40))
+        path = tmp_path / "report.csv"
+        path.write_text(f"# n_nodata: 0\npoint_index,observed,predicted,residual\n"
+                        f"{good}{row}\n{good}")
+
+        def place():
+            with pytest.raises(FormatError) as err:
+                read_error_report(path)
+            return str(err.value), err.value.line, err.value.column
+
+        bulk = place()
+        with monkeypatch.context() as patch:
+            patch.setattr(pathidw.fileio, "np", _NoBulkParse())
+            walked = place()
+        assert bulk == walked
+        assert bulk[1:] == (line, column)
 
     def test_paired_test_layout(self, tmp_path):
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])

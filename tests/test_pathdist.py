@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,62 @@ class TestMoveGraph:
         assert g.shape == (6, 6)
         assert np.array_equal(g.toarray(), expect)
 
+
+    @staticmethod
+    def assert_matches_coo(cost):
+        got, want = move_graph(cost), oracles.move_graph_coo(cost)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+    @given(data=st.data())
+    def test_csr_arrays_match_coo_build(self, data):
+        nrows = data.draw(st.integers(1, 9), label="nrows")
+        ncols = data.draw(st.integers(1, 9), label="ncols")
+        # water, land and nodata cells, and all-land grids among them
+        kinds = data.draw(st.lists(st.sampled_from([1.0, 10000.0, -9999.0]),
+                                   min_size=nrows * ncols, max_size=nrows * ncols),
+                          label="cells")
+        cellsize = data.draw(st.sampled_from([1.0, CS, 0.3]), label="cellsize")
+        self.assert_matches_coo(surface(np.reshape(kinds, (nrows, ncols)), cellsize=cellsize))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (4, 4)])
+    @pytest.mark.parametrize("fill", [1.0, 10000.0])
+    def test_thin_and_uniform_grids_match_coo_build(self, shape, fill):
+        self.assert_matches_coo(surface(np.full(shape, fill)))
+
+    @pytest.mark.parametrize("flank", [None, 0, 1])
+    @pytest.mark.parametrize("pair, flanks", [
+        ([(0, 0), (1, 1)], [(0, 1), (1, 0)]), ([(0, 1), (1, 0)], [(0, 0), (1, 1)])])
+    def test_diagonal_pairs_match_coo_build(self, pair, flanks, flank):
+        # two water cells touching at a corner, with one water flank or none
+        vals = np.full((2, 2), 10000.0)
+        for cell in pair:
+            vals[cell] = 1.0
+        if flank is not None:
+            vals[flanks[flank]] = 1.0
+        cost = surface(vals)
+        self.assert_matches_coo(cost)
+        # a diagonal move joins the pair only across a water flank
+        node = np.cumsum(cost.is_water.ravel()) - 1
+        i, j = (node[r * 2 + c] for r, c in pair)
+        assert move_graph(cost)[i, j] == (0.0 if flank is None else CS * math.sqrt(2.0))
+
+    def test_build_peaks_near_its_output(self):
+        # the (N, 8) neighbour block and the masks stay below 1.5 times the
+        # graph; a COO build held about 4.6 times it
+        rng = np.random.default_rng(5)
+        cost = surface(np.where(rng.random((200, 200)) < 0.85, 1.0, 10000.0))
+        tracemalloc.start()
+        try:
+            g = move_graph(cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = g.data.nbytes + g.indices.nbytes + g.indptr.nbytes
+        assert peak <= 2.5 * out
 
 def one_point(x, y):
     return PointSet(np.array([x]), np.array([y]), np.zeros(1))
@@ -721,6 +778,35 @@ class TestNearestSources:
         assert limits["lattice"] == [first]
         left = np.nonzero(cost.is_water)[1] < 28
         assert dist[1, left].max() <= first < dist[1, ~left].max() <= second
+
+    def test_second_pass_chunks_keep_their_sources_within_two_bands(self, monkeypatch):
+        # A 200 x 6 strip with a source every third row but for two 24-row
+        # gaps, one near each end. The sources alternate between the strip's
+        # halves, so a chunk of them spans most of its rows; the gaps' cells
+        # stay pending after the first pass, and in the second each chunk
+        # ends before a source whose rows would stretch it over two bands.
+        cost = water(200, 6)
+        rows = [r for r in range(0, 200, 3) if not (20 <= r < 44 or 156 <= r < 180)]
+        top, bottom = rows[:len(rows) // 2], rows[len(rows) // 2:][::-1]
+        order = [r for pair in zip(top, bottom) for r in pair]
+        pts = points_on_cells(cost, [(r, r % 6) for r in order], np.random.default_rng(8))
+        config = InterpConfig.nearest(2)
+        assert_matches_dense(cost, pts, config)
+        cells = snapped_sources(pts, cost=cost)[0]
+
+        def second_pass_windows():
+            calls = spy_dijkstra(monkeypatch)
+            nearest_sources(cost, cells, k=2)
+            first = calls[0][2]
+            # (window rows, band) of each bounded second-pass call
+            return [(g.shape[0] // 6, int(limit / CS * (1.0 + pathdist._BOUND_SLACK)))
+                    for g, _, limit in calls if limit is not None and limit != first]
+
+        windows = second_pass_windows()
+        assert windows and all(n <= 4 * band + 1 for n, band in windows)
+        # without the cut, one chunk of alternating sources spans the strip
+        monkeypatch.setattr(pathdist, "_within_two_bands", lambda rows, limits, unit: len(rows))
+        assert max(n for n, _ in second_pass_windows()) > 150
 
     @pytest.mark.parametrize("tile", [3, 7])
     @pytest.mark.parametrize("chunk", [2, 3])

@@ -151,8 +151,11 @@ class TestCrossValidate:
     def test_residual_is_predicted_minus_observed(self):
         pred = RasterGrid(self.geom(), np.array([[4.0, 0.0]]))
         report = cross_validate(pred, pts([[5, 5, 1.0]]))
-        idx, obs, est, res = report.residuals[0]
-        assert (idx, obs, est, res) == (0, 1.0, 4.0, 3.0)
+        idx, obs, est, res = (report.index, report.observed, report.predicted,
+                              report.residual)
+        assert (idx.tolist(), obs.tolist(), est.tolist(), res.tolist()) == (
+            [0], [1.0], [4.0], [3.0])
+        assert idx.dtype == np.int64 and res.dtype == np.float64
 
     def test_nodata_and_outside_points_counted_not_scored(self):
         pred = RasterGrid(self.geom(), np.array([[2.0, -9999.0]]))
@@ -168,10 +171,32 @@ class TestCrossValidate:
 
     def test_observed_range(self):
         report = ErrorReport(
-            residuals=((0, 1.0, 2.0, 1.0), (1, 5.0, 2.0, -3.0)),
+            index=[0, 1], observed=[1.0, 5.0], predicted=[2.0, 2.0], residual=[1.0, -3.0],
             mae=2.0, rmse=2.2, n_evaluated=2, n_nodata=0,
         )
         assert report.observed_range() == 4.0
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (7, 2), (1790, 3), (5000, 4)])
+    def test_summaries_equal_the_row_tuple_formulas(self, n, seed):
+        rng = np.random.default_rng(seed)
+        obs = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 9, n)
+        pred = obs + rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 3, n)
+        report = ErrorReport.from_residuals(np.arange(n), obs, pred, pred - obs, 0)
+        # the formulas over (index, observed, predicted, residual) row tuples
+        rows = tuple(zip(range(n), obs.tolist(), pred.tolist(), (pred - obs).tolist()))
+        res = np.array([r[3] for r in rows])
+        observed = [r[1] for r in rows]
+        assert report.mae == float(np.mean(np.abs(res)))
+        assert report.rmse == float(np.sqrt(np.mean(res ** 2)))
+        assert report.observed_range() == max(observed) - min(observed)
+        assert report.n_evaluated == n
+
+    def test_columns_are_read_only_and_equal_length(self):
+        report = ErrorReport.from_residuals([0, 3], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 1)
+        with pytest.raises(ValueError):
+            report.observed[0] = 9.0
+        with pytest.raises(ValueError, match="equal length"):
+            ErrorReport.from_residuals([0], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 0)
 
     @given(
         residuals=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50)
