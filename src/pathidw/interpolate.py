@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import pathdist
 from .costsurface import DEFAULT_WATER_COST, CostSurface
@@ -215,6 +214,9 @@ def _kd_nearest(tx, ty, sx, sy, k: int) -> tuple[np.ndarray, np.ndarray]:
     index order by their ``np.hypot`` distance gives the exact table. The
     other targets ask again for twice as many.
     """
+    # imported here, so that processes that never run nearest-n IDW skip it
+    from scipy.spatial import cKDTree
+
     n_src = len(sx)
     tree = cKDTree(np.column_stack([sx, sy]))
     dist = np.empty((k, len(tx)))
@@ -240,10 +242,21 @@ def _interpolate(engine, points: PointSet, cost: CostSurface,
     """Snap, fill the neighbor table with ``engine``, estimate, and scatter onto water."""
     cells, values = snapped_sources(points, cost=cost)
     dist, src = engine(cost, cells, k=config.n_nearest, max_distance=config.max_distance)
-    # Empty slots carry inf distances, so their values (src -1) weigh 0. The
-    # values replace the source table, which is freed before the estimate.
-    src = values[src]
-    est, has = _estimate(dist, src, config.power)
+    # The estimate runs ``_TILE`` columns at a time, so its table-sized
+    # temporaries are never held for the whole table. Empty slots carry inf
+    # distances, so their values (src -1) weigh 0.
+    n = dist.shape[1]
+    est = np.zeros(n)
+    has = np.zeros(n, dtype=bool)
+    shared = values[src] if src.shape[1] == 1 else None
+    starts = list(range(0, n, pathdist._TILE))
+    # numpy sums a one-column slice pairwise but wider ones row by row, so a
+    # lone last column joins the tile before it
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        vals = shared if shared is not None else values[src[:, lo:hi]]
+        est[lo:hi], has[lo:hi] = _estimate(dist[:, lo:hi], vals, config.power)
     geom = cost.geometry
     out = np.full(geom.n_cells, DEFAULT_NODATA)
     out[np.flatnonzero(cost.is_water.ravel())[has]] = est[has]

@@ -52,11 +52,11 @@ def edge_density(cost: CostSurface) -> float:
     cellsize of boundary; the raster perimeter and nodata boundaries do not.
     The area is that of all non-nodata cells.
     """
-    valid = ~cost.raster.is_nodata
+    land = cost.is_land
+    valid = land | cost.is_water
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("cost surface has no data cells")
-    land = cost.is_land
     horiz = valid[:, :-1] & valid[:, 1:] & (land[:, :-1] != land[:, 1:])
     vert = valid[:-1, :] & valid[1:, :] & (land[:-1, :] != land[1:, :])
     cs = cost.geometry.cellsize

@@ -90,12 +90,20 @@ class GridGeometry:
         cols = np.where(inside, col, -1).astype(np.int64)
         return rows, cols
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (X, Y) arrays of shape (nrows, ncols) holding cell centers."""
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return the column centers' x (ncols,) and the row centers' y (nrows,).
+
+        x rises with the column and y falls with the row (row 0 is the top).
+        """
         cols = np.arange(self.ncols)
         rows = np.arange(self.nrows)
         x = self.xll + (cols + 0.5) * self.cellsize
         y = self.yll + (self.nrows - rows - 0.5) * self.cellsize
+        return x, y
+
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return (X, Y) arrays of shape (nrows, ncols) holding cell centers."""
+        x, y = self.axis_centers()
         return np.broadcast_to(x, (self.nrows, self.ncols)).copy(), \
             np.broadcast_to(y[:, None], (self.nrows, self.ncols)).copy()
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -457,6 +458,26 @@ class TestEstimateColumns:
             assert dist.tolist() == [[0.0, 60.0, 0.0, 0.0], [120.0, 60.0, 60.0, 60.0]]
             assert src.tolist() == [[1, 1, 2, 0], [2, 2, 0, 2]]
 
+    @pytest.mark.parametrize("tile", [2, 4, 11, 44])
+    def test_tiled_estimate_keeps_the_whole_table_bits(self, monkeypatch, tile):
+        # 45 water cells: every tile size leaves one column over, which
+        # joins the tile before it, since numpy sums a lone column pairwise
+        cost = surface(np.ones((5, 9)))
+        rng = np.random.default_rng(tile)
+        flat = rng.choice(45, size=30, replace=False)
+        cells = [(int(f) // 9, int(f) % 9) for f in flat]
+        centers = centers_of(cost.geometry, cells)
+        pts = PointSet(centers[:, 0], centers[:, 1], rng.uniform(-1e3, 1e3, len(cells)))
+
+        def run():
+            configs = (InterpConfig.all_points(), InterpConfig.nearest(10))
+            return ([interpolate_ipdw(pts, cost, c).values.tobytes() for c in configs]
+                    + [interpolate_idw(pts, cost.geometry, c).values.tobytes() for c in configs])
+
+        whole = run()
+        monkeypatch.setattr(pathdist, "_TILE", tile)
+        assert run() == whole
+
     def test_zero_distance_column(self):
         dist = np.array([[0.0, 3.0], [1.0, 4.0]])
         values = np.array([6.0, 10.0])
@@ -595,7 +616,8 @@ class TestStraightLineTable:
                 rounds.append((m, np.asarray(x)))
                 return super().query(x, m, *args, **kwargs)
 
-        monkeypatch.setattr(interpolate, "cKDTree", SpyTree)
+        # _kd_nearest imports the tree at call time, from scipy.spatial
+        monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
         assert_idw_matches_dense(pts, cost.geometry, InterpConfig.nearest(k), cost)
         target = centers_of(cost.geometry, [(10, 10)])[0]
         widened = [(x == target).all(axis=1).any() for m, x in rounds if m > k + 2]

@@ -41,6 +41,9 @@ def test_test_only_api_is_gone():
     assert not hasattr(pathidw.InterpConfig, "mode")
     assert not hasattr(pathidw.PointSet, "value_range")
     assert not hasattr(pathidw.PointSet, "from_records")
+    # the scanline rasterizer replaced point containment
+    assert not hasattr(pathidw.PolygonSet, "contains")
+    assert not hasattr(pathidw.costsurface, "_PAIRS")
 
 
 def test_interp_config_fields():
@@ -68,14 +71,23 @@ def test_retired_options_stay_gone():
     assert [f.name for f in dataclasses.fields(pathidw.Scalogram)] == ["rows"]
 
 
-def test_cli_import_loads_no_scipy_stats():
-    # Every CLI call is a fresh process, and scipy.stats would cost it more
-    # start-up time and memory than numpy and the rest of scipy together.
+def _modules_after_import(prefix):
     src = str(Path(pathidw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, pathidw.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    code = ("import sys, pathidw, pathidw.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_scipy_stats():
+    # Every CLI call is a fresh process, and scipy.stats would cost it more
+    # start-up time and memory than numpy and the rest of scipy together.
+    assert _modules_after_import("scipy.stats") == "[]"
+
+
+def test_import_loads_no_scipy_spatial():
+    # only nearest-n IDW needs the k-d tree, and imports it when it runs
+    assert _modules_after_import("scipy.spatial") == "[]"

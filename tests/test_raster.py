@@ -84,6 +84,8 @@ class TestGridGeometry:
             for c in range(3):
                 assert xs[r, c] == -5.0 + (c + 0.5) * 2.0
                 assert ys[r, c] == 7.0 + (2 - r - 0.5) * 2.0
+        x, y = geom.axis_centers()
+        assert x.tolist() == xs[0].tolist() and y.tolist() == ys[:, 0].tolist()
 
     @given(geom=small_geometries(), data=st.data())
     def test_round_trip_center_to_cell(self, geom, data):
