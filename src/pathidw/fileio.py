@@ -3,6 +3,12 @@
 Writers are deterministic (no timestamps, fixed key order, canonical float
 formatting), so identical inputs always produce identical bytes and a
 write -> read -> write cycle reproduces the first file exactly.
+
+Every reader parses its table of numbers the same way, in ``_parse_table``:
+the data rows are joined, each closed by a token of its own, split once
+and parsed by one numpy call. Only when that fails (a row of the wrong
+length, a bad or non-finite number) are the rows walked one by one, to
+raise a FormatError at the line and column of the first bad row or token.
 """
 
 from __future__ import annotations
@@ -55,22 +61,35 @@ def _parse_row(tokens, path, line: int) -> list[float]:
     return values
 
 
-def _parse_table(rows, width: int, path) -> np.ndarray:
-    """A (len(rows), width) float array from (line, tokens) rows.
+def _parse_table(rows, width: int, path, sep: str | None = ",") -> np.ndarray:
+    """A (len(rows), width) float array from (line, text) rows.
 
-    One bulk numpy parse; only when it fails or meets a non-finite value are
-    the rows walked to raise a FormatError at the first bad row or token.
+    The rows are joined, each closed by a ';' token, and split once on
+    ``sep`` (None: on whitespace). Only when a closing token is out of
+    place, the parse fails or a value is not finite are the rows walked
+    to raise a FormatError at the first bad row or token.
     """
-    try:
-        values = np.array([tokens for _, tokens in rows], dtype=float)
-    except ValueError:
-        values = None
-    if values is not None and values.shape == (len(rows), width) and np.isfinite(values).all():
-        return values
+    n = len(rows)
+    if sep is None:
+        tokens = " ; ".join([text for _, text in rows]).split()
+    else:
+        tokens = f"{sep};{sep}".join([text for _, text in rows]).split(sep)
+    # no float() reads ';', so when every (width + 1)-th token is one and
+    # the rest parse, the rows held exactly the n - 1 closers put there
+    if len(tokens) == n * (width + 1) - 1 and tokens[width::width + 1].count(";") == n - 1:
+        del tokens[width::width + 1]
+        try:
+            values = np.array(tokens, dtype=float).reshape(n, width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
     # numpy parses a token as float() does, spaces included; row by row,
     # this finds the first bad row or token and reports where it is
-    values = np.empty((len(rows), width))
-    for i, (line, tokens) in enumerate(rows):
+    values = np.empty((n, width))
+    for i, (line, text) in enumerate(rows):
+        tokens = text.split(sep)
         if len(tokens) != width:
             raise FormatError(f"row {i}: expected {width} values, got {len(tokens)}",
                               path=str(path), line=line)
@@ -120,8 +139,11 @@ def read_points(path) -> tuple[PointSet, int]:
     if header.replace(" ", "").lower() != POINTS_HEADER:
         raise FormatError(f"expected header '{POINTS_HEADER}', got {header!r}",
                           path=str(path), line=lineno)
-    rows = [(lineno, row.split(",")) for lineno, row in data[1:]]
-    kept = [r for r in rows if len(r[1]) != 3 or r[1][2].strip() != "NA"]
+    rows = data[1:]
+    # an NA row has three fields, the last one NA; the lines are stripped,
+    # so the cheap endswith test passes over the rows that end in a number
+    kept = [row for row in rows if not (row[1].endswith("NA") and row[1].count(",") == 2
+                                        and row[1].rpartition(",")[2].strip() == "NA")]
     values = _parse_table(kept, 3, path)
     return PointSet(values[:, 0], values[:, 1], values[:, 2]), len(rows) - len(kept)
 
@@ -182,12 +204,12 @@ def read_ascii_grid(path) -> RasterGrid:
     geom = GridGeometry(ncols, nrows, header["xllcorner"], header["yllcorner"],
                         header["cellsize"])
 
-    rows = [(lineno, line.split()) for lineno, line in
+    rows = [(lineno, line) for lineno, line in
             enumerate(lines[len(_ASC_KEYS):], start=len(_ASC_KEYS) + 1) if line.strip()]
     if len(rows) != nrows:
         raise FormatError(f"expected {nrows} data rows, found {len(rows)}",
                           path=str(path), line=len(lines))
-    values = _parse_table(rows, ncols, path)
+    values = _parse_table(rows, ncols, path, sep=None)
     return RasterGrid(geom, values, header["nodata_value"])
 
 
@@ -213,18 +235,14 @@ def read_polygons(path) -> PolygonSet:
     """
     with open(path) as f:
         _, data = _read_preamble(f)
-    rows = []  # (line, tokens) of every vertex
+    rows = []  # (line, text) of every vertex
     ends = []  # (number of vertex rows before it, line) of every END
     for lineno, line in data:
         if line == "END":
             ends.append((len(rows), lineno))
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise FormatError(f"expected 'x y' or 'END', got {line!r}",
-                              path=str(path), line=lineno)
-        rows.append((lineno, tokens))
-    vertices = _parse_table(rows, 2, path)
+        else:
+            rows.append((lineno, line))
+    vertices = _parse_table(rows, 2, path, sep=None)
     rings: list[np.ndarray] = []
     start = 0
     for stop, lineno in ends:
@@ -281,82 +299,39 @@ def write_error_report(report: ErrorReport, path, *, metadata: dict | None = Non
 
 
 def read_error_report(path) -> ErrorReport:
-    """Rebuild an ErrorReport from its CSV; a bad field raises FormatError at its column.
-
-    A report whose rows hold no comment or blank line is parsed in bulk;
-    any other, or one the bulk parse rejects, is read line by line, which
-    places the first bad row or field.
-    """
+    """Rebuild an ErrorReport from its CSV; a bad field raises FormatError at its column."""
     with open(path) as f:
-        text = f.read()
-    parsed = _bulk_report(text)
-    if parsed is None:
-        parsed = _report_rows(text, path)
-    meta, index, values = parsed
+        meta, data = _read_preamble(f)
+    if not data or data[0][1].replace(" ", "") != _REPORT_HEADER:
+        raise FormatError("missing error-report header", path=str(path))
+    rows = data[1:]
+    if not rows:
+        raise FormatError("error report holds no residual rows", path=str(path))
+    values = _parse_table(rows, 4, path)
+    # the index column is parsed by int(), so '1.0' or '1e3' is no index
+    first = [text.partition(",")[0] for _, text in rows]
+    try:
+        index = np.fromiter(map(int, first), dtype=np.int64, count=len(rows))
+    except (ValueError, OverflowError):
+        # row by row only to find the first bad index and report where it is
+        for (lineno, _), token in zip(rows, first):
+            try:
+                i = int(token)
+            except ValueError:
+                raise FormatError(f"point index is not an integer: {token!r}",
+                                  path=str(path), line=lineno, column=1) from None
+            if not _INT64.min <= i <= _INT64.max:
+                raise FormatError(f"point index out of range: {token!r}",
+                                  path=str(path), line=lineno, column=1)
+        raise
     try:
         n_nodata = int(meta.get("n_nodata", 0))
     except ValueError:
         raise FormatError("n_nodata metadata is not an integer", path=str(path)) from None
-    return ErrorReport.from_residuals(index, *values, n_nodata)
-
-
-def _bulk_report(text):
-    """(metadata, index, value columns) of a report in one split, or None.
-
-    Only a '#' and blank preamble, the header line and then rows of four
-    fields are taken: the rows are split at once, with each line end kept
-    as a token of its own, so that every fifth token must be one. Anything
-    else, a failed parse or a non-finite value gives None.
-    """
-    head, found, body = ("\n" + text).partition(f"\n{_REPORT_HEADER}\n")
-    if not found:
-        return None
-    meta, data = _read_preamble(head.split("\n"))
-    if data:
-        return None
-    tokens = body.rstrip().replace("\n", ",\n,").split(",")
-    n = (len(tokens) + 1) // 5
-    if n == 0 or len(tokens) != 5 * n - 1 or tokens[4::5].count("\n") != n - 1:
-        return None
     try:
-        # int() per index, as the line-by-line read parses it
-        index = np.fromiter(map(int, tokens[0::5]), dtype=np.int64, count=n)
-        values = np.array([tokens[1::5], tokens[2::5], tokens[3::5]], dtype=float)
-    except (ValueError, OverflowError):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return meta, index, values
-
-
-def _report_rows(text, path):
-    """(metadata, index, value columns) of a report read line by line.
-
-    Raises FormatError at the first bad row or field.
-    """
-    meta, data = _read_preamble(text.split("\n"))
-    if not data or data[0][1].replace(" ", "") != _REPORT_HEADER:
-        raise FormatError("missing error-report header", path=str(path))
-    rows = [(lineno, line.split(",")) for lineno, line in data[1:]]
-    if not rows:
-        raise FormatError("error report holds no residual rows", path=str(path))
-    values = _parse_table(rows, 4, path)[:, 1:].T
-    try:
-        index = np.fromiter(map(int, [tokens[0] for _, tokens in rows]), dtype=np.int64,
-                            count=len(rows))
-    except (ValueError, OverflowError):
-        # row by row only to find the first bad index and report where it is
-        for lineno, tokens in rows:
-            try:
-                i = int(tokens[0])
-            except ValueError:
-                raise FormatError(f"point index is not an integer: {tokens[0]!r}",
-                                  path=str(path), line=lineno, column=1) from None
-            if not _INT64.min <= i <= _INT64.max:
-                raise FormatError(f"point index out of range: {tokens[0]!r}",
-                                  path=str(path), line=lineno, column=1)
-        raise
-    return meta, index, values
+        return ErrorReport.from_residuals(index, *values[:, 1:].T, n_nodata)
+    except ValueError as err:
+        raise FormatError(str(err), path=str(path)) from None
 
 
 def write_paired_test(result: PairedTestResult, path, *, metadata: dict | None = None):

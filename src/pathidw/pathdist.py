@@ -18,10 +18,11 @@ sources. It takes two passes. The first searches small or sparsely
 sourced components unbounded and the rest within a radius R, each chunk
 of sources on the band of rows that a path of cost R can reach. The
 second clears the columns still short of k labels within R and refills
-them, bounding each one through its certified neighbours. Each column
-lies in one component, whose sources reach it in ascending order, so a
-stable merge keeps equal distances in source order, as one search over
-all sources would.
+them, bounding each one through its certified neighbours. In both passes
+a chunk ends where its sources' rows would span more than two bands, so
+no window covers most of a component. Each column lies in one component,
+whose sources reach it in ascending order, so a stable merge keeps equal
+distances in source order, as one search over all sources would.
 """
 
 from __future__ import annotations
@@ -131,14 +132,15 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
     water cells for S sources, is searched unbounded in the first pass. The
     others are bounded by R, 1.7 times the radius of a disc that holds k
     sources at the mean density, and each call runs on the rows within
-    R / (water_cost * cellsize) of its sources. A target there is certified
-    once its k-th label is within R, since every source beyond R is farther.
-    The second pass clears the pending targets and bounds each one's k-th
-    label by U(t), the least k-th label of a certified cell plus the path
-    from it. It runs again only the sources whose straight-line lower bound
-    reaches a pending target of their own component within U, each chunk
-    bounded by the largest U it must reach and cut short where its sources'
-    rows would span more than two bands, so every pending target is
+    R / (water_cost * cellsize) of its sources; a chunk of sources is cut
+    short where their rows would span more than two such bands. A target
+    there is certified once its k-th label is within R, since every source
+    beyond R is farther. The second pass clears the pending targets and
+    bounds each one's k-th label by U(t), the least k-th label of a
+    certified cell plus the path from it. It runs again only the sources
+    whose straight-line lower bound reaches a pending target of their own
+    component within U, each chunk bounded by the largest U it must reach
+    and cut at two bands as in the first pass, so every pending target is
     certified then.
     """
     if k is not None and max_distance is not None:
@@ -209,24 +211,22 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
         return sparse.csr_matrix((data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo),
                                  shape=(b - a, b - a))
 
-    def search(c, group, limits, pending, split=False):
+    def search(c, group, limits, pending):
         """Merge the labels of ``group``, chunk by chunk, into c's pending columns.
 
         A chunk's call is bounded by the largest of its sources' ``limits``
         and runs on the window of c's rows that such a path can reach: its
         cost is at least water_cost times its straight-line length, so it
         stays within limit / (water_cost * cellsize) rows of its source.
-        With ``split`` a chunk also ends before a source that would stretch
-        its sources' rows over more than two such bands.
+        A chunk also ends before a source that would stretch its sources'
+        rows over more than two such bands.
         """
         a, b = bounds[c], bounds[c + 1]
         sub = component(c)
         at = 0
         while at < len(group):
-            end = min(at + _CHUNK, len(group))
-            if split:
-                end = at + _within_two_bands(rows[pos[nodes[group[at:end]]]],
-                                             limits[at:end], wc * cs)
+            end = at + _within_two_bands(rows[pos[nodes[group[at:at + _CHUNK]]]],
+                                         limits[at:at + _CHUNK], wc * cs)
             part = group[at:end]
             limit = limits[at:end].max()
             at_src = pos[nodes[part]]
@@ -272,7 +272,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
             near = wc * np.hypot(s[:, :1] - target[:, 0], s[:, 1:] - target[:, 1]) <= bound
             reach[at:at + _CHUNK] = np.where(near, bound, -np.inf).max(axis=1)
         keep = reach >= 0
-        search(c, group[keep], reach[keep], pending, split=True)
+        search(c, group[keep], reach[keep], pending)
     src[np.isinf(dist)] = -1
     # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous.
     # The graph goes first and the tables one at a time, so at most one

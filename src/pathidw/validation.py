@@ -44,8 +44,8 @@ class ErrorReport:
     read-only columns: ``index`` (the point's position in the validation
     set, int64), ``observed``, ``predicted`` and ``residual`` = predicted -
     observed (float64). ``n_nodata`` counts validation points that fell on
-    cells without a prediction. Reports hold arrays, so ``==`` compares
-    identity; compare the columns instead.
+    cells without a prediction; neither count may be negative. Reports
+    hold arrays, so ``==`` compares identity; compare the columns instead.
     """
 
     index: np.ndarray
@@ -67,6 +67,9 @@ class ErrorReport:
             if arr.ndim != 1 or n is not None and len(arr) != n:
                 raise ValueError("report columns must be 1-d arrays of equal length")
             n = len(arr)
+        for name in ("n_evaluated", "n_nodata"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
     @classmethod
     def from_residuals(cls, index, observed, predicted, residual,

@@ -101,6 +101,14 @@ class TestPointsCsv:
         "1,2,3\n4,5,6,7\n",
         "1,2,3\n4,5,1e400\n",
         "1,2,3\n nan ,5,6\n",
+        # a ragged pair with the token count of two good rows
+        "1,2,3,4\n5,6\n",
+        "1,2,3\n4,5,NA\n6,7,8,9\n1,2\n",
+        # a comment and a blank line among the rows, and NA rows around them
+        "1,2,3\n# note: x\n\n4,5,NA\n  6 , 7 , 8  \nNA,1,2\n",
+        "1,2,NA\n# note\n3,4,NA\n5,6,7\n",
+        "1,NA,3\n",
+        "1,2,3;4,5,6\n",
     ])
     def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
         path = tmp_path / "pts.csv"
@@ -306,6 +314,13 @@ class TestAsciiGrid:
         "1 2 3\n4 x 6\n",
         "1 2\n4 5 x\n",
         "1 2 3\nnan 5 6\n",
+        # a ragged pair with the token count of two good rows
+        "1 2 3 4\n5 6\n",
+        "1 2\n3 4 5 6\n",
+        # spaces and tabs around the tokens, and a blank line among the rows
+        "  1\t 2  3 \n\n\t4 5   6\t\n",
+        "1 2 3\n# note\n4 5 6\n",
+        "1 2 3\n4 ; 6\n",
     ])
     def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
         path = tmp_path / "g.asc"
@@ -410,6 +425,11 @@ class TestPolygonText:
         "0 0\n10 0\n10 10\n0 0\n",
         "0 0\n1 0\n0 0\nEND\n",
         "",
+        # a ragged pair with the token count of two good rows
+        "0 0 10\n0\n10 10\n0 0\nEND\n",
+        # spaces around the tokens, and comments and blank lines among them
+        "  0 0 \n\t10   0\n# note: x\n\n10 10\t\n 0 0\nEND\n",
+        "0 0\n10 0 ;\n10 10\n0 0\nEND\n",
     ])
     def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
         path = tmp_path / "land.txt"
@@ -468,6 +488,16 @@ class TestReportCsv:
         with pytest.raises(FormatError, match="no residual rows"):
             read_error_report(path)
 
+    def test_negative_n_nodata_is_a_format_error(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("# n_nodata: -3\npoint_index,observed,predicted,residual\n"
+                        "0,1.0,1.5,0.5\n")
+        with pytest.raises(FormatError, match="n_nodata must not be negative, got -3") as err:
+            read_error_report(path)
+        assert err.value.path == str(path) and str(err.value).startswith(str(path))
+        path.write_text(path.read_text().replace("-3", "0"))
+        assert read_error_report(path).n_nodata == 0
+
     @pytest.mark.parametrize("column", [2, 3, 4])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_error_report_non_finite_field_reports_position(self, tmp_path, token, column):
@@ -513,6 +543,10 @@ class TestReportCsv:
         "0,1.0,1.5,0.5\n1,2.0,inf,0.5\n",
         "0,1.0\n",
         "",
+        # a ragged pair with the token count of two good rows
+        "0,1.0,1.5,0.5,9\n1,2.0,2.5\n",
+        "0,1.0,1.5,0.5\n# note: x\n\n 1 , 2.0 , 2.5 , 0.5 \n",
+        "0,1.0,1.5,0.5\n1e3,2.0,2.5,0.5\n",
     ])
     def test_bulk_and_row_by_row_parses_agree(self, body, tmp_path, monkeypatch):
         path = tmp_path / "report.csv"

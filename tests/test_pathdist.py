@@ -588,10 +588,11 @@ def pool_and_strip():
 
     A land row parts the 6x8 pool (48 points, rows 0-5) from the 1x120
     strip in row 7, whose points sit 4 cells apart at its left end. At k=1
-    the first radius spans under two cells, so the first chunk of pool points
-    (rows 0-3) runs on rows 0-4 only, and the strip's cells past column 13
-    stay pending, most of them with pending cells alone beside them. At k=3
-    no strip cell has 3 points within the first radius.
+    the first radius spans under two cells, so the first chunk of pool
+    points (rows 0-2, cut at two bands) runs on rows 0-3 only, and the
+    strip's cells past column 13 stay pending, most of them with pending
+    cells alone beside them. At k=3 no strip cell has 3 points within the
+    first radius.
     """
     vals = np.full((8, 120), 10000.0)
     vals[:6, :8] = 1.0
@@ -770,12 +771,18 @@ class TestNearestSources:
         calls = spy_dijkstra(monkeypatch)
         dist, _ = nearest_sources(cost, cells, k=2)
         col = np.indices((30, 61))[1]
+        found = chunk_calls(cost, cells, {"lattice": col < 28, "corner": col > 28}, calls)
+        names = [name for name, _, _, _ in found]
         limits = {}
-        for name, _, _, limit in chunk_calls(cost, cells, {"lattice": col < 28,
-                                                           "corner": col > 28}, calls):
+        for name, _, _, limit in found:
             limits.setdefault(name, []).append(limit)
         first, second = limits["corner"]
-        assert limits["lattice"] == [first]
+        # the lattice's chunks end at two bands, so it takes more than one
+        # call, but every one comes before the corner basin's first call
+        # and carries the first limit: the second pass leaves it alone
+        n = names.index("corner")
+        assert n > 1 and names == ["lattice"] * n + ["corner"] * 2
+        assert limits["lattice"] == [first] * n
         left = np.nonzero(cost.is_water)[1] < 28
         assert dist[1, left].max() <= first < dist[1, ~left].max() <= second
 
@@ -783,8 +790,8 @@ class TestNearestSources:
         # A 200 x 6 strip with a source every third row but for two 24-row
         # gaps, one near each end. The sources alternate between the strip's
         # halves, so a chunk of them spans most of its rows; the gaps' cells
-        # stay pending after the first pass, and in the second each chunk
-        # ends before a source whose rows would stretch it over two bands.
+        # stay pending after the first pass. In both passes each chunk ends
+        # before a source whose rows would stretch it over two bands.
         cost = water(200, 6)
         rows = [r for r in range(0, 200, 3) if not (20 <= r < 44 or 156 <= r < 180)]
         top, bottom = rows[:len(rows) // 2], rows[len(rows) // 2:][::-1]
@@ -794,19 +801,22 @@ class TestNearestSources:
         assert_matches_dense(cost, pts, config)
         cells = snapped_sources(pts, cost=cost)[0]
 
-        def second_pass_windows():
+        def windows():
             calls = spy_dijkstra(monkeypatch)
             nearest_sources(cost, cells, k=2)
             first = calls[0][2]
-            # (window rows, band) of each bounded second-pass call
-            return [(g.shape[0] // 6, int(limit / CS * (1.0 + pathdist._BOUND_SLACK)))
-                    for g, _, limit in calls if limit is not None and limit != first]
+            # (window rows, band) of each bounded call in the first pass,
+            # bounded by the first radius, and in the second
+            bounded = [(g.shape[0] // 6, limit) for g, _, limit in calls if limit is not None]
+            return [[(n, int(limit / CS * (1.0 + pathdist._BOUND_SLACK)))
+                     for n, limit in bounded if (limit == first) == first_pass]
+                    for first_pass in (True, False)]
 
-        windows = second_pass_windows()
-        assert windows and all(n <= 4 * band + 1 for n, band in windows)
+        for calls in windows():
+            assert calls and all(n <= 4 * band + 1 for n, band in calls)
         # without the cut, one chunk of alternating sources spans the strip
         monkeypatch.setattr(pathdist, "_within_two_bands", lambda rows, limits, unit: len(rows))
-        assert max(n for n, _ in second_pass_windows()) > 150
+        assert all(max(n for n, _ in calls) > 150 for calls in windows())
 
     @pytest.mark.parametrize("tile", [3, 7])
     @pytest.mark.parametrize("chunk", [2, 3])
@@ -826,11 +836,13 @@ class TestNearestSources:
         calls = spy_dijkstra(monkeypatch)
         dist, _ = nearest_sources(cost, cells, k=1)
         found = chunk_calls(cost, cells, basins, calls)
-        pool = [(lo, n) for name, lo, n, _ in found if name == "pool"]
+        pool = [n for name, _, n, _ in found if name == "pool"]
         strip = [limit for name, _, _, limit in found if name == "strip"]
-        # a window strictly smaller than its component: points in rows 0-3,
-        # a radius under two cells, rows 0-4 of the pool's six
-        assert pool[0] == (0, 40)
+        # each window strictly smaller than its component: a radius under
+        # two cells makes a band of one row, so a chunk holds the points of
+        # three rows (0-2, then 3-5) and runs on those and one row beside
+        # them, 32 of the pool's 48 cells; the pool certifies in the first pass
+        assert pool == [32, 32]
         # the strip's cells from column 14 on are pending after the first
         # pass, so cells 15-17 have no certified neighbour, and the second
         # pass still reaches the far end

@@ -198,6 +198,14 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="equal length"):
             ErrorReport.from_residuals([0], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 0)
 
+    def test_counts_are_not_negative(self):
+        with pytest.raises(ValueError, match="n_nodata must not be negative, got -3"):
+            ErrorReport.from_residuals([0], [1.0], [1.5], [0.5], -3)
+        with pytest.raises(ValueError, match="n_evaluated must not be negative"):
+            ErrorReport(np.arange(0), [], [], [], mae=0.0, rmse=0.0, n_evaluated=-1,
+                        n_nodata=0)
+        assert ErrorReport.from_residuals([0], [1.0], [1.5], [0.5], 0).n_nodata == 0
+
     @given(
         residuals=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50)
     )
