@@ -98,7 +98,7 @@ def _parse_table(rows, width: int, path, sep: str | None = ",") -> np.ndarray:
 
 
 def _read_preamble(lines) -> tuple[dict[str, str], list[tuple[int, str]]]:
-    """Split '#'-prefixed metadata from data lines; returns (meta, numbered lines)."""
+    """Split '#' metadata above the first data line from the numbered data lines."""
     meta: dict[str, str] = {}
     data: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -107,7 +107,7 @@ def _read_preamble(lines) -> tuple[dict[str, str], list[tuple[int, str]]]:
             continue
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
-            if ":" in body:
+            if not data and ":" in body:
                 key, _, val = body.partition(":")
                 meta[key.strip()] = val.strip()
             continue
@@ -329,7 +329,7 @@ def read_error_report(path) -> ErrorReport:
     except ValueError:
         raise FormatError("n_nodata metadata is not an integer", path=str(path)) from None
     try:
-        return ErrorReport.from_residuals(index, *values[:, 1:].T, n_nodata)
+        return ErrorReport(index, *values[:, 1:].T, n_nodata)
     except ValueError as err:
         raise FormatError(str(err), path=str(path)) from None
 

@@ -3,9 +3,9 @@
 Dense survey tracks oversample along-track, so training data is thinned on a
 coarse square mesh: up to ``per_cell`` points are kept per occupied mesh
 cell and everything else becomes validation data. Error reports carry
-per-point residuals plus MAE/RMSE, and paired reports are compared with a
-two-sided Wilcoxon signed-rank test whose small-n path is the exact
-sign-flip distribution.
+per-point residuals, from which MAE and RMSE are computed, and paired
+reports are compared with a two-sided Wilcoxon signed-rank test whose
+small-n path is the exact sign-flip distribution.
 
 Mid-ranks and the Spearman statistic are computed here in numpy, as
 ``scipy.stats.rankdata`` and ``spearmanr`` compute them, so that importing
@@ -38,23 +38,20 @@ class SplitResult:
 
 @dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """Cross-validation residuals and summary errors.
+    """Cross-validation residuals; the summary errors are computed from them.
 
     One entry per evaluated validation point, in point order, across four
     read-only columns: ``index`` (the point's position in the validation
     set, int64), ``observed``, ``predicted`` and ``residual`` = predicted -
     observed (float64). ``n_nodata`` counts validation points that fell on
-    cells without a prediction; neither count may be negative. Reports
-    hold arrays, so ``==`` compares identity; compare the columns instead.
+    cells without a prediction and may not be negative. Reports hold
+    arrays, so ``==`` compares identity; compare the columns instead.
     """
 
     index: np.ndarray
     observed: np.ndarray
     predicted: np.ndarray
     residual: np.ndarray
-    mae: float
-    rmse: float
-    n_evaluated: int
     n_nodata: int
 
     def __post_init__(self):
@@ -67,18 +64,20 @@ class ErrorReport:
             if arr.ndim != 1 or n is not None and len(arr) != n:
                 raise ValueError("report columns must be 1-d arrays of equal length")
             n = len(arr)
-        for name in ("n_evaluated", "n_nodata"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.n_nodata < 0:
+            raise ValueError(f"n_nodata must not be negative, got {self.n_nodata}")
 
-    @classmethod
-    def from_residuals(cls, index, observed, predicted, residual,
-                       n_nodata: int) -> "ErrorReport":
-        """Report over residual columns, with MAE and RMSE computed from them."""
-        res = np.asarray(residual, dtype=np.float64)
-        return cls(index, observed, predicted, res, mae=float(np.mean(np.abs(res))),
-                   rmse=float(np.sqrt(np.mean(res ** 2))),
-                   n_evaluated=len(res), n_nodata=n_nodata)
+    @property
+    def mae(self) -> float:
+        return float(np.mean(np.abs(self.residual)))
+
+    @property
+    def rmse(self) -> float:
+        return float(np.sqrt(np.mean(self.residual ** 2)))
+
+    @property
+    def n_evaluated(self) -> int:
+        return len(self.residual)
 
     def observed_range(self) -> float:
         return float(self.observed.max() - self.observed.min())
@@ -110,7 +109,15 @@ class RangeErrorTable:
     """
 
     rows: tuple[tuple[float, float], ...]
-    rank_correlation: float | None
+
+    @property
+    def rank_correlation(self) -> float | None:
+        table = np.array(self.rows)
+        # the rank correlation is undefined with a NaN or a constant column
+        if len(table) < 2 or np.isnan(table).any() or not (table != table[0]).any(axis=0).all():
+            return None
+        ranks = np.column_stack([_average_ranks(table[:, 0]), _average_ranks(table[:, 1])])
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def grid_split(points: PointSet, mesh_cellsize: float, per_cell: int,
@@ -161,8 +168,7 @@ def cross_validate(predicted: RasterGrid, validation: PointSet) -> ErrorReport:
         raise ValueError("no evaluable validation points (all nodata or out of extent)")
     obs = validation.values[evaluable]
     pred = pred[evaluable]
-    return ErrorReport.from_residuals(evaluable, obs, pred, pred - obs,
-                                      len(validation) - len(evaluable))
+    return ErrorReport(evaluable, obs, pred, pred - obs, len(validation) - len(evaluable))
 
 
 def wilcoxon_signed_rank(a, b) -> PairedTestResult:
@@ -258,16 +264,10 @@ def range_vs_error(pairs) -> RangeErrorTable:
 
     ``pairs`` is an iterable of (value_range, mae) numbers, such as an
     ErrorReport's ``observed_range()`` and ``mae``. Returns the scatter rows
-    in input order plus the Spearman rank correlation between range and MAE
-    (None when undefined).
+    in input order, whose ``rank_correlation`` is the Spearman rank
+    correlation between range and MAE (None when undefined).
     """
     rows = tuple((float(rng), float(mae)) for rng, mae in pairs)
     if not rows:
         raise ValueError("no (range, mae) pairs supplied")
-    rho: float | None = None
-    table = np.array(rows)
-    # the rank correlation is undefined with a NaN or a constant column
-    if len(rows) >= 2 and not np.isnan(table).any() and (table != table[0]).any(axis=0).all():
-        ranks = np.column_stack([_average_ranks(table[:, 0]), _average_ranks(table[:, 1])])
-        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
-    return RangeErrorTable(rows, rho)
+    return RangeErrorTable(rows)

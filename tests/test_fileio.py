@@ -566,7 +566,7 @@ class TestReportCsv:
         pred = obs + rng.normal(0.0, 1.0, n)
         pred[::7] = obs[::7]
         index = np.sort(rng.choice(10 * n, n, replace=False))
-        return ErrorReport.from_residuals(index, obs, pred, pred - obs, int(seed))
+        return ErrorReport(index, obs, pred, pred - obs, int(seed))
 
     @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (1790, 2)])
     def test_write_read_write_is_byte_identical(self, tmp_path, n, seed):
@@ -574,6 +574,32 @@ class TestReportCsv:
         write_error_report(self.seeded_report(n, seed), first, metadata={"method": "ipdw"})
         write_error_report(read_error_report(first), second, metadata={"method": "ipdw"})
         assert first.read_bytes() == second.read_bytes()
+
+    @given(
+        rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                                *[st.floats(-1e100, 1e100, allow_nan=False)] * 3),
+                      min_size=1, max_size=30),
+        n_nodata=st.integers(0, 10**6),
+    )
+    def test_written_summaries_are_those_of_the_rows(self, rows, n_nodata, tmp_path_factory):
+        first = tmp_path_factory.mktemp("report") / "a.csv"
+        second = first.with_name("b.csv")
+        write_error_report(ErrorReport(*zip(*rows), n_nodata), first)
+        back = read_error_report(first)
+        meta = dict(line[2:].split(": ", 1) for line in first.read_text().splitlines()
+                    if line.startswith("# "))
+        assert (meta["mae"], meta["rmse"], meta["n_evaluated"]) == (
+            repr(back.mae), repr(back.rmse), str(back.n_evaluated))
+        write_error_report(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_metadata_below_the_header_is_not_read(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("# n_nodata: 0\npoint_index,observed,predicted,residual\n"
+                        "0,1.0,1.5,0.5\n# n_nodata: 7\n1,2.0,2.5,0.5\n")
+        report = read_error_report(path)
+        assert report.n_nodata == 0
+        assert report.index.tolist() == [0, 1]
 
     @pytest.mark.parametrize("row, line, column", [
         ("17,1.0x,2.0,1.0", 3 + 40, 2),     # a bad observed value

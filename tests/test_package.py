@@ -71,6 +71,14 @@ def test_retired_options_stay_gone():
     assert [f.name for f in dataclasses.fields(pathidw.Scalogram)] == ["rows"]
 
 
+def test_report_summaries_are_not_fields():
+    # mae, rmse, n_evaluated and rank_correlation are computed from the rows
+    assert [f.name for f in dataclasses.fields(pathidw.ErrorReport)] == [
+        "index", "observed", "predicted", "residual", "n_nodata"]
+    assert [f.name for f in dataclasses.fields(pathidw.RangeErrorTable)] == ["rows"]
+    assert not hasattr(pathidw.ErrorReport, "from_residuals")
+
+
 def _modules_after_import(prefix):
     src = str(Path(pathidw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

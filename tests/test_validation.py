@@ -11,6 +11,7 @@ from pathidw import (
     ErrorReport,
     GridGeometry,
     PointSet,
+    RangeErrorTable,
     RasterGrid,
     cross_validate,
     grid_split,
@@ -172,16 +173,26 @@ class TestCrossValidate:
     def test_observed_range(self):
         report = ErrorReport(
             index=[0, 1], observed=[1.0, 5.0], predicted=[2.0, 2.0], residual=[1.0, -3.0],
-            mae=2.0, rmse=2.2, n_evaluated=2, n_nodata=0,
+            n_nodata=0,
         )
         assert report.observed_range() == 4.0
+        assert (report.mae, report.rmse, report.n_evaluated) == (2.0, math.sqrt(5.0), 2)
+
+    def test_summaries_cannot_be_given(self):
+        # mae, rmse and n_evaluated are computed from the residual column,
+        # so a report cannot state values its rows contradict
+        with pytest.raises(TypeError):
+            ErrorReport([0, 1], [1.0, 2.0], [2.0, 3.0], [1.0, 1.0], mae=5.0, rmse=7.0,
+                        n_evaluated=9, n_nodata=0)
+        report = ErrorReport([0, 1], [1.0, 2.0], [2.0, 3.0], [1.0, 1.0], n_nodata=0)
+        assert (report.mae, report.rmse, report.n_evaluated) == (1.0, 1.0, 2)
 
     @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (7, 2), (1790, 3), (5000, 4)])
     def test_summaries_equal_the_row_tuple_formulas(self, n, seed):
         rng = np.random.default_rng(seed)
         obs = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 9, n)
         pred = obs + rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 3, n)
-        report = ErrorReport.from_residuals(np.arange(n), obs, pred, pred - obs, 0)
+        report = ErrorReport(np.arange(n), obs, pred, pred - obs, 0)
         # the formulas over (index, observed, predicted, residual) row tuples
         rows = tuple(zip(range(n), obs.tolist(), pred.tolist(), (pred - obs).tolist()))
         res = np.array([r[3] for r in rows])
@@ -192,19 +203,16 @@ class TestCrossValidate:
         assert report.n_evaluated == n
 
     def test_columns_are_read_only_and_equal_length(self):
-        report = ErrorReport.from_residuals([0, 3], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 1)
+        report = ErrorReport([0, 3], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 1)
         with pytest.raises(ValueError):
             report.observed[0] = 9.0
         with pytest.raises(ValueError, match="equal length"):
-            ErrorReport.from_residuals([0], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 0)
+            ErrorReport([0], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 0)
 
     def test_counts_are_not_negative(self):
         with pytest.raises(ValueError, match="n_nodata must not be negative, got -3"):
-            ErrorReport.from_residuals([0], [1.0], [1.5], [0.5], -3)
-        with pytest.raises(ValueError, match="n_evaluated must not be negative"):
-            ErrorReport(np.arange(0), [], [], [], mae=0.0, rmse=0.0, n_evaluated=-1,
-                        n_nodata=0)
-        assert ErrorReport.from_residuals([0], [1.0], [1.5], [0.5], 0).n_nodata == 0
+            ErrorReport([0], [1.0], [1.5], [0.5], -3)
+        assert ErrorReport([0], [1.0], [1.5], [0.5], 0).n_nodata == 0
 
     @given(
         residuals=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50)
@@ -376,6 +384,13 @@ class TestRangeVsError:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             range_vs_error([])
+
+    def test_correlation_is_computed_from_the_rows(self):
+        table = RangeErrorTable(((1.0, 0.5), (2.0, 0.2), (3.0, 0.1)))
+        assert table.rank_correlation == -1.0
+        assert table == range_vs_error(table.rows)
+        with pytest.raises(TypeError):
+            RangeErrorTable(table.rows, 1.0)
 
     def test_matches_scipy_spearman_bitwise(self):
         # Seeded columns from two rows up, with ties, constant columns, inf
