@@ -120,9 +120,8 @@ def _read_preamble(lines) -> tuple[dict[str, str], list[tuple[int, str]]]:
 # ---------------------------------------------------------------------------
 
 def write_points(points: PointSet, path, *, metadata: dict | None = None):
-    rows = (f"{float(x)!r},{float(y)!r},{float(v)!r}"
-            for x, y, v in zip(points.x, points.y, points.values))
-    write_csv_table(path, metadata, POINTS_HEADER, rows)
+    write_csv_table(path, metadata, POINTS_HEADER,
+                    _column_rows(points.x, points.y, points.values))
 
 
 def read_points(path) -> tuple[PointSet, int]:
@@ -283,6 +282,11 @@ def write_csv_table(path, metadata: dict | None, header: str, rows: Iterable[str
         f.write("\n".join(lines))
 
 
+def _column_rows(*columns: np.ndarray) -> Iterable[str]:
+    """CSV rows joined from each column's ``repr`` texts, made in one pass per column."""
+    return map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+
+
 def write_error_report(report: ErrorReport, path, *, metadata: dict | None = None):
     meta = {
         "report": "cross-validation",
@@ -292,10 +296,8 @@ def write_error_report(report: ErrorReport, path, *, metadata: dict | None = Non
         "n_nodata": report.n_nodata,
     }
     meta.update(metadata or {})
-    # each column's text is made in one pass and the rows joined from them
-    columns = (map(str, report.index.tolist()), map(repr, report.observed.tolist()),
-               map(repr, report.predicted.tolist()), map(repr, report.residual.tolist()))
-    write_csv_table(path, meta, _REPORT_HEADER, map(",".join, zip(*columns)))
+    write_csv_table(path, meta, _REPORT_HEADER, _column_rows(
+        report.index, report.observed, report.predicted, report.residual))
 
 
 def read_error_report(path) -> ErrorReport:
@@ -305,8 +307,6 @@ def read_error_report(path) -> ErrorReport:
     if not data or data[0][1].replace(" ", "") != _REPORT_HEADER:
         raise FormatError("missing error-report header", path=str(path))
     rows = data[1:]
-    if not rows:
-        raise FormatError("error report holds no residual rows", path=str(path))
     values = _parse_table(rows, 4, path)
     # the index column is parsed by int(), so '1.0' or '1e3' is no index
     first = [text.partition(",")[0] for _, text in rows]

@@ -11,14 +11,14 @@ watertight wall. A source therefore reaches a water cell when the two are
 connected through water, however long the route.
 
 Land splits the water into components that no route joins. The nearest-k
-search numbers the water nodes and table columns by (component,
-row-major), so each component is one node range and column slice, and
-each Dijkstra call runs on one range with some of its component's
-sources. It takes two passes. The first searches small or sparsely
-sourced components unbounded and the rest within a radius R, each chunk
-of sources on the band of rows that a path of cost R can reach. The
-second clears the columns still short of k labels within R and refills
-them, bounding each one through its certified neighbours. In both passes
+search numbers the water nodes by (component, row-major), so each
+component is one node range, and each Dijkstra call runs on one range
+with some of its component's sources and merges their labels into the
+table's row-major columns. It takes two passes. The first searches small
+or sparsely sourced components unbounded and the rest within a radius R,
+each chunk of sources on the band of rows that a path of cost R can
+reach. The second clears the columns still short of k labels within R
+and refills them, bounding each one through its certified neighbours. In both passes
 a chunk ends where its sources' rows would span more than two bands, so
 no window covers most of a component. Each column lies in one component,
 whose sources reach it in ascending order, so a stable merge keeps equal
@@ -169,8 +169,9 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
 def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     """``nearest_sources``' nearest-k table, filled in two passes.
 
-    Component c is the node range and column slice ``bounds[c]:bounds[c + 1]``,
-    so a Dijkstra call runs on its rows alone, renumbered from 0, from up to
+    Component c is the node range ``bounds[c]:bounds[c + 1]``, whose nodes
+    are the table columns ``order[bounds[c]:bounds[c + 1]]``, so a Dijkstra
+    call runs on its rows alone, renumbered from 0, from up to
     ``_CHUNK`` of its sources in ascending order. A stable sort then keeps
     equal labels in source order, and a label that only ties the k-th loses
     to the earlier source.
@@ -179,7 +180,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     _, comp = csgraph.connected_components(graph, directed=False)
     order = np.argsort(comp, kind="stable")
     bounds = np.searchsorted(comp[order], np.arange(comp.max() + 2))
-    # node i is table column pos[i] and number local[i] within its component
+    # cell i, table column i, is node pos[i], number local[i] in its component
     pos = np.empty_like(order)
     pos[order] = np.arange(n_water)
     local = pos - bounds[comp]
@@ -199,8 +200,8 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     radius = _RADIUS * wc * cs * math.sqrt(k * n_water / (math.pi * n_src))
     whole = (per_comp <= k) | (np.diff(bounds) <= 8.0 * k * n_water / n_src)
 
-    # table columns are in (component, row-major) order, so each component's
-    # rows ascend along its columns
+    # nodes are in (component, row-major) order, so each component's rows
+    # ascend along its node range
     rows, cols = np.divmod(water_flat[order], cost.geometry.ncols)
     dist = np.full((k, n_water), np.inf)
     src = np.full((k, n_water), -1)
@@ -239,10 +240,10 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
             block = csgraph.dijkstra(window, directed=True, indices=at_src - lo, limit=limit)
             # a label must beat the column's k-th: a tie loses to the
             # earlier source already there
-            hit = np.flatnonzero(pending[lo:hi] & (block.min(axis=0) < dist[-1, lo:hi]))
+            hit = np.flatnonzero(pending[lo:hi] & (block.min(axis=0) < dist[-1, order[lo:hi]]))
             for tile in range(0, len(hit), _TILE):
                 sel = hit[tile:tile + _TILE]
-                _merge(dist, src, block[:, sel], part, lo + sel, first=at == 0)
+                _merge(dist, src, block[:, sel], part, order[lo + sel], first=at == 0)
             # free this block before the next Dijkstra call allocates its own
             del block
             at = end
@@ -253,8 +254,8 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
         search(c, groups[c], np.full(per_comp[c], np.inf if whole[c] else radius), pending)
     # a column is certified once its k-th label is within R, since every
     # source beyond R is farther; the rest are cleared and filled again
-    pending = np.repeat(~whole, np.diff(bounds)) & np.isinf(dist[-1])
-    dist[:, pending] = np.inf
+    pending = np.repeat(~whole, np.diff(bounds)) & np.isinf(dist[-1, order])
+    dist[:, order[pending]] = np.inf
     xy = np.column_stack([cols, rows]) * cs
     # pass 2: a source runs again when its straight-line bound reaches a
     # pending cell t within the bound U(t) on t's k-th label, limited by the
@@ -263,7 +264,7 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     for c in np.flatnonzero(np.add.reduceat(pending, bounds[:-1])):
         a, b = bounds[c], bounds[c + 1]
         group = groups[c]
-        bound = _kth_bound(component(c), dist[-1, a:b], pending[a:b]) * (1.0 + _BOUND_SLACK)
+        bound = _kth_bound(component(c), dist[-1, order[a:b]], pending[a:b]) * (1.0 + _BOUND_SLACK)
         target = xy[a:b][pending[a:b]]
         reach = np.empty(len(group))
         # chunked, so the (sources x pending cells) test is no larger than a block
@@ -274,12 +275,6 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
         keep = reach >= 0
         search(c, group[keep], reach[keep], pending)
     src[np.isinf(dist)] = -1
-    # back to row-major columns; take, unlike dist[:, pos], stays C-contiguous.
-    # The graph goes first and the tables one at a time, so at most one
-    # table-sized copy is alive next to them
-    del data, indices, indptr, local, rows, cols, xy
-    dist = dist.take(pos, axis=1)
-    src = src.take(pos, axis=1)
     return dist, src
 
 

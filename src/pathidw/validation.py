@@ -43,8 +43,9 @@ class ErrorReport:
     One entry per evaluated validation point, in point order, across four
     read-only columns: ``index`` (the point's position in the validation
     set, int64), ``observed``, ``predicted`` and ``residual`` = predicted -
-    observed (float64). ``n_nodata`` counts validation points that fell on
-    cells without a prediction and may not be negative. Reports hold
+    observed (float64, finite), and at least one entry. ``n_nodata`` counts
+    validation points that fell on cells without a prediction and may not
+    be negative. Reports hold
     arrays, so ``==`` compares identity; compare the columns instead.
     """
 
@@ -63,7 +64,11 @@ class ErrorReport:
             object.__setattr__(self, name, arr)
             if arr.ndim != 1 or n is not None and len(arr) != n:
                 raise ValueError("report columns must be 1-d arrays of equal length")
+            if dtype is np.float64 and not np.isfinite(arr).all():
+                raise ValueError(f"report {name} values must be finite")
             n = len(arr)
+        if not n:
+            raise ValueError("error report holds no residual rows")
         if self.n_nodata < 0:
             raise ValueError(f"n_nodata must not be negative, got {self.n_nodata}")
 

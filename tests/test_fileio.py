@@ -577,14 +577,21 @@ class TestReportCsv:
 
     @given(
         rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
-                                *[st.floats(-1e100, 1e100, allow_nan=False)] * 3),
-                      min_size=1, max_size=30),
+                                *[st.floats(-1e100, 1e100, allow_nan=False)
+                                  | st.sampled_from([np.inf, -np.inf, np.nan])] * 3),
+                      max_size=30),
         n_nodata=st.integers(0, 10**6),
     )
     def test_written_summaries_are_those_of_the_rows(self, rows, n_nodata, tmp_path_factory):
+        columns = list(zip(*rows)) or [()] * 4
+        # a report that could not be read back cannot be built
+        if not rows or not np.isfinite(columns[1:]).all():
+            with pytest.raises(ValueError):
+                ErrorReport(*columns, n_nodata)
+            return
         first = tmp_path_factory.mktemp("report") / "a.csv"
         second = first.with_name("b.csv")
-        write_error_report(ErrorReport(*zip(*rows), n_nodata), first)
+        write_error_report(ErrorReport(*columns, n_nodata), first)
         back = read_error_report(first)
         meta = dict(line[2:].split(": ", 1) for line in first.read_text().splitlines()
                     if line.startswith("# "))

@@ -208,6 +208,11 @@ class TestCrossValidate:
             report.observed[0] = 9.0
         with pytest.raises(ValueError, match="equal length"):
             ErrorReport([0], [1.0, 2.0], [1.5, 2.5], [0.5, 0.5], 0)
+        # neither could be written and read back
+        with pytest.raises(ValueError, match="no residual rows"):
+            ErrorReport([], [], [], [], 0)
+        with pytest.raises(ValueError, match="must be finite"):
+            ErrorReport([0, 1], [1.0, math.inf], [2.0, 3.0], [1.0, -math.inf], 0)
 
     def test_counts_are_not_negative(self):
         with pytest.raises(ValueError, match="n_nodata must not be negative, got -3"):
