@@ -12,15 +12,15 @@ connected through water, however long the route.
 
 Land splits the water into components that no route joins. The nearest-k
 search numbers the water nodes by (component, row-major), so each
-component is one node range, and each Dijkstra call runs on one range
-with some of its component's sources and merges their labels into the
-table's row-major columns. It takes two passes. The first searches small
-or sparsely sourced components unbounded and the rest within a radius R,
-each chunk of sources on the band of rows that a path of cost R can
-reach. The second clears the columns still short of k labels within R
-and refills them, bounding each one through its certified neighbours. In both passes
-a chunk ends where its sources' rows would span more than two bands, so
-no window covers most of a component. Each column lies in one component,
+component is one node range, and each Dijkstra call runs on one range with
+some of its component's sources and merges their labels into the table's
+row-major columns. It takes two passes. The first searches small or
+sparsely sourced components unbounded and the rest within a radius R, each
+chunk of sources on the band of rows that a path of cost R can reach. The
+second clears the columns still short of k labels within R and refills
+them, bounding each one through its certified neighbours. In both passes a
+chunk ends where its sources' rows would span more than two bands, so no
+window covers most of a component. Each column lies in one component,
 whose sources reach it in ascending order, so a stable merge keeps equal
 distances in source order, as one search over all sources would.
 """

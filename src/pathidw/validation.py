@@ -45,8 +45,8 @@ class ErrorReport:
     set, int64), ``observed``, ``predicted`` and ``residual`` = predicted -
     observed (float64, finite), and at least one entry. ``n_nodata`` counts
     validation points that fell on cells without a prediction and may not
-    be negative. Reports hold
-    arrays, so ``==`` compares identity; compare the columns instead.
+    be negative. Reports hold arrays, so ``==`` compares identity; compare
+    the columns instead.
     """
 
     index: np.ndarray

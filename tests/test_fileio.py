@@ -577,21 +577,14 @@ class TestReportCsv:
 
     @given(
         rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
-                                *[st.floats(-1e100, 1e100, allow_nan=False)
-                                  | st.sampled_from([np.inf, -np.inf, np.nan])] * 3),
-                      max_size=30),
+                                *[st.floats(-1e100, 1e100, allow_nan=False)] * 3),
+                      min_size=1, max_size=30),
         n_nodata=st.integers(0, 10**6),
     )
     def test_written_summaries_are_those_of_the_rows(self, rows, n_nodata, tmp_path_factory):
-        columns = list(zip(*rows)) or [()] * 4
-        # a report that could not be read back cannot be built
-        if not rows or not np.isfinite(columns[1:]).all():
-            with pytest.raises(ValueError):
-                ErrorReport(*columns, n_nodata)
-            return
         first = tmp_path_factory.mktemp("report") / "a.csv"
         second = first.with_name("b.csv")
-        write_error_report(ErrorReport(*columns, n_nodata), first)
+        write_error_report(ErrorReport(*zip(*rows), n_nodata), first)
         back = read_error_report(first)
         meta = dict(line[2:].split(": ", 1) for line in first.read_text().splitlines()
                     if line.startswith("# "))
@@ -599,6 +592,21 @@ class TestReportCsv:
             repr(back.mae), repr(back.rmse), str(back.n_evaluated))
         write_error_report(back, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @given(
+        rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                                *[st.floats(-1e100, 1e100, allow_nan=False)] * 3),
+                      max_size=30),
+        at=st.tuples(st.integers(0, 29), st.integers(1, 3)),
+        bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+    def test_reports_that_cannot_be_read_back_cannot_be_built(self, rows, at, bad):
+        # no rows, or one row with an inf or nan, would write a file the reader rejects
+        columns = [list(c) for c in zip(*rows)] or [[], [], [], []]
+        if rows:
+            columns[at[1]][at[0] % len(rows)] = bad
+        with pytest.raises(ValueError):
+            ErrorReport(*columns, 0)
 
     def test_metadata_below_the_header_is_not_read(self, tmp_path):
         path = tmp_path / "report.csv"
