@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pathdist
-from .costsurface import DEFAULT_WATER_COST, CostSurface
+from .costsurface import CostSurface
 from .errors import ConsistencyError
 from .pathdist import nearest_sources, snap_points
 from .points import PointSet
@@ -49,8 +49,8 @@ _CONVEXITY_RTOL = 1e-9
 class InterpConfig:
     """Shared estimator settings for IDW and IPDW runs.
 
-    Exactly one neighborhood mode is active: nearest-n (``n_nearest`` set),
-    max-distance (``max_distance`` set, inclusive), or all-points (neither).
+    Exactly one of ``n_nearest`` (nearest-n) and ``max_distance``
+    (inclusive) is set; ``within(math.inf)`` uses every source.
     """
 
     power: float = 2.0
@@ -60,7 +60,7 @@ class InterpConfig:
     def __post_init__(self):
         if not self.power > 0:
             raise ValueError(f"power must be positive, got {self.power}")
-        if self.n_nearest is not None and self.max_distance is not None:
+        if (self.n_nearest is None) == (self.max_distance is None):
             raise ValueError("choose one neighborhood mode: nearest-n or max-distance")
         if self.n_nearest is not None:
             require_count("n_nearest", self.n_nearest)
@@ -74,10 +74,6 @@ class InterpConfig:
     @classmethod
     def within(cls, distance: float, *, power: float = 2.0) -> "InterpConfig":
         return cls(power=power, n_nearest=None, max_distance=distance)
-
-    @classmethod
-    def all_points(cls, *, power: float = 2.0) -> "InterpConfig":
-        return cls(power=power, n_nearest=None, max_distance=None)
 
 
 def snapped_sources(points: PointSet, *, cost: CostSurface
@@ -94,10 +90,13 @@ def snapped_sources(points: PointSet, *, cost: CostSurface
     _, first, group, counts = np.unique(rows * cost.geometry.ncols + cols, return_index=True,
                                         return_inverse=True, return_counts=True)
     # np.mean adds fewer than 8 values one by one in input order, as
-    # bincount does, and sums 8 or more pairwise, so those groups keep it
+    # bincount does, and sums 8 or more pairwise, so those groups keep it;
+    # a stable sort by group lists each group's values in input order
     means = np.bincount(group, weights=points.values) / counts
+    by_group = points.values[np.argsort(group, kind="stable")]
+    ends = np.cumsum(counts)
     for g in np.flatnonzero(counts >= 8):
-        means[g] = np.mean(points.values[group == g])
+        means[g] = np.mean(by_group[ends[g] - counts[g]:ends[g]])
     seen = np.argsort(first)
     return [cells[i] for i in first[seen]], means[seen]
 
@@ -167,16 +166,13 @@ def interpolate_ipdw(points: PointSet, cost: CostSurface, config: InterpConfig, 
 
 
 def interpolate_idw(points: PointSet, geometry: GridGeometry, config: InterpConfig, *,
-                    mask: CostSurface | None = None) -> RasterGrid:
+                    mask: CostSurface) -> RasterGrid:
     """Interpolate using straight-line distances that ignore barriers.
 
-    A mask only limits where measurements snap and which cells receive
+    The mask only limits where measurements snap and which cells receive
     output (land and nodata become nodata); it never alters distances.
-    Without one, every cell of ``geometry`` counts as water.
     """
-    if mask is None:
-        mask = CostSurface(RasterGrid.full(geometry, DEFAULT_WATER_COST))
-    elif mask.geometry != geometry:
+    if mask.geometry != geometry:
         raise ValueError("mask geometry differs from the requested output geometry")
     return _interpolate(_straight_line_sources, points, mask, config)
 

@@ -31,8 +31,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .costsurface import CostSurface
 from .errors import SnapError
@@ -46,7 +44,7 @@ DEFAULT_SNAP_RADIUS = 2
 _OFFSETS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
-def move_graph(cost: CostSurface) -> sparse.csr_matrix:
+def move_graph(cost: CostSurface) -> "scipy.sparse.csr_matrix":
     """Sparse symmetric move graph over the water cells, numbered in row-major order.
 
     The CSR arrays are built directly: an (N, 8) block holds each water
@@ -54,6 +52,10 @@ def move_graph(cost: CostSurface) -> sparse.csr_matrix:
     one boolean compress of it gives the column indices, sorted within each
     row, and the weights.
     """
+    # scipy.sparse is imported here and where the search runs, so that
+    # processes that never build a move graph skip it
+    from scipy import sparse
+
     geom = cost.geometry
     nr, nc = geom.nrows, geom.ncols
     water = cost.is_water
@@ -157,6 +159,7 @@ def nearest_sources(cost: CostSurface, cells, *, k: int | None = None,
             raise ValueError(f"source cell {(r, c)} must be a pair of integers")
         if not (0 <= r < geom.nrows and 0 <= c < geom.ncols) or not water[r, c]:
             raise ValueError(f"source cell {(r, c)} out of bounds or not water")
+    from scipy.sparse import csgraph
     water_flat = np.flatnonzero(water.ravel())
     nodes = np.searchsorted(water_flat, [r * geom.ncols + c for r, c in cells])
     if k is not None and k < len(nodes):
@@ -176,6 +179,8 @@ def _search_nearest(graph, nodes, k: int, cost: CostSurface, water_flat):
     equal labels in source order, and a label that only ties the k-th loses
     to the earlier source.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
     n_water, n_src = graph.shape[0], len(nodes)
     _, comp = csgraph.connected_components(graph, directed=False)
     order = np.argsort(comp, kind="stable")
@@ -303,6 +308,8 @@ def _kth_bound(sub, kth, pending):
     and those neighbours. In a component with a certified cell every
     pending cell gets a finite bound, since the component is connected.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
     keep = pending.copy()
     keep[sub[pending].indices] = True
     idx = np.flatnonzero(keep)

@@ -131,11 +131,6 @@ class RasterGrid:
         self.values = arr
         self.nodata = float(nodata)
 
-    @classmethod
-    def full(cls, geometry: GridGeometry, fill: float,
-             nodata: float = DEFAULT_NODATA) -> "RasterGrid":
-        return cls(geometry, np.full((geometry.nrows, geometry.ncols), fill), nodata)
-
     @property
     def is_nodata(self) -> np.ndarray:
         return self.values == self.nodata

@@ -39,6 +39,9 @@ def test_test_only_api_is_gone():
     assert not hasattr(pathidw.GridGeometry, "cell_of")
     assert not hasattr(pathidw.GridGeometry, "center_of")
     assert not hasattr(pathidw.InterpConfig, "mode")
+    # within(math.inf) is every source, and IDW always takes its mask
+    assert not hasattr(pathidw.InterpConfig, "all_points")
+    assert not hasattr(pathidw.RasterGrid, "full")
     assert not hasattr(pathidw.PointSet, "value_range")
     assert not hasattr(pathidw.PointSet, "from_records")
     # the scanline rasterizer replaced point containment
@@ -60,6 +63,8 @@ def test_retired_options_stay_gone():
 
     assert params(pathidw.interpolate_ipdw) == ["points", "cost", "config", "threads"]
     assert params(pathidw.interpolate_idw) == ["points", "geometry", "config", "mask"]
+    mask = inspect.signature(pathidw.interpolate_idw).parameters["mask"]
+    assert mask.kind is mask.KEYWORD_ONLY and mask.default is mask.empty
     assert params(pathidw.snapped_sources) == ["points", "cost"]
     assert params(pathidw.snap_points) == ["cost", "points"]
     assert params(pathidw.fileio.write_ascii_grid) == ["raster", "path"]
@@ -99,3 +104,9 @@ def test_cli_import_loads_no_scipy_stats():
 def test_import_loads_no_scipy_spatial():
     # only nearest-n IDW needs the k-d tree, and imports it when it runs
     assert _modules_after_import("scipy.spatial") == "[]"
+
+
+def test_import_loads_no_scipy_sparse():
+    # only a path search needs the move graph and Dijkstra, and imports
+    # them when it runs, so the CLI's other commands skip them
+    assert _modules_after_import("scipy.sparse") == "[]"

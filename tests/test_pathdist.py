@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 import oracles
 from pathidw import (
@@ -70,7 +71,7 @@ def field(cost, source):
 
 
 class TestAllSourcesMode:
-    """``nearest_sources`` in all-points mode: one in-water distance row per source cell."""
+    """``nearest_sources`` with neither k nor max_distance: a distance row per source cell."""
 
     def test_straight_row(self):
         assert np.array_equal(field(water(1, 3), (0, 0)), [[0.0, 60.0, 120.0]])
@@ -519,7 +520,7 @@ def check_random_grid(data):
     pts = points_on_cells(cost, [tuple(wet[i]) for i in picks], rng)
     config = data.draw(st.sampled_from([
         InterpConfig.nearest(1), InterpConfig.nearest(2), InterpConfig.nearest(4),
-        InterpConfig.within(water_cost * CS * 3.5), InterpConfig.all_points()]))
+        InterpConfig.within(water_cost * CS * 3.5), InterpConfig.within(math.inf)]))
     assert_matches_dense(cost, pts, config)
 
 
@@ -608,13 +609,14 @@ def spy_dijkstra(monkeypatch):
     The limit is None for a call that passes none.
     """
     calls = []
-    real = pathdist.csgraph.dijkstra
+    real = csgraph.dijkstra
 
     def spy(graph, *args, **kwargs):
         calls.append((graph, np.atleast_1d(kwargs["indices"]), kwargs.get("limit")))
         return real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(pathdist.csgraph, "dijkstra", spy)
+    # pathdist imports csgraph where it searches and looks dijkstra up there
+    monkeypatch.setattr(csgraph, "dijkstra", spy)
     return calls
 
 
@@ -701,7 +703,7 @@ class TestNearestSources:
 
     @pytest.mark.parametrize("config", [
         InterpConfig.nearest(1), InterpConfig.nearest(3), InterpConfig.nearest(10),
-        InterpConfig.within(400.0), InterpConfig.all_points()])
+        InterpConfig.within(400.0), InterpConfig.within(math.inf)])
     def test_basins_with_fewer_than_k_sources(self, config):
         cost, pts = four_basins()
         assert_matches_dense(cost, pts, config)

@@ -149,6 +149,6 @@ class TestRasterGrid:
         assert np.count_nonzero(grid.is_nodata) == 2
 
     def test_full_constructor(self):
-        grid = RasterGrid.full(self.geom(), 7.5)
+        grid = RasterGrid(self.geom(), np.full((2, 3), 7.5))
         assert np.all(grid.values == 7.5)
         assert grid.nodata == DEFAULT_NODATA
